@@ -1,12 +1,14 @@
-"""Regenerate the pre-refactor WAR-verifier golden fixtures.
+"""Regenerate the pre-refactor golden fixtures.
 
 Run from the repository root::
 
-    PYTHONPATH=src:tests python tests/golden/generate.py
+    PYTHONPATH=src:tests python tests/golden/generate.py [FIXTURE ...]
 
-The fixture (``war_diagnostics.json``) pins the *exact* diagnostics —
-codes, messages, locations, related notes, and emission order — that the
-IR-level (:mod:`repro.analysis.static_war`) and machine-level
+where each ``FIXTURE`` is a file name below (default: all of them).
+
+``war_diagnostics.json`` pins the *exact* diagnostics — codes, messages,
+locations, related notes, and emission order — that the IR-level
+(:mod:`repro.analysis.static_war`) and machine-level
 (:mod:`repro.backend.mir_war`) verifiers produced **before** they were
 refactored onto the shared :mod:`repro.analysis.dataflow` worklist
 engine.  ``tests/test_dataflow_parity.py`` replays the same seeded-bug
@@ -14,8 +16,17 @@ configurations through the refactored verifiers and diffs the output
 byte-for-byte: the refactor must be behaviour-preserving, not merely
 "equivalent".
 
-Only regenerate this file when a *deliberate* diagnostics change lands
-(new code, reworded message); never to paper over a parity failure.
+``placements.json`` pins every checkpoint position, middle end and back
+end, of each paper benchmark under the placement environments
+(:data:`PLACEMENT_ENVS`), as produced before WAR discovery and the
+hitting set were rewritten onto the indexed engine and range-compressed
+requirements.  ``tests/test_placement_golden.py`` recompiles them and
+diffs the positions, so placement drift fails loudly instead of only
+showing in code size.
+
+Only regenerate a fixture when a *deliberate* change lands (new code,
+reworded message, a placement rule); never to paper over a parity
+failure.
 """
 
 import json
@@ -126,9 +137,66 @@ def generate():
     return fixtures
 
 
+#: the environments whose checkpoint placement ``placements.json`` pins:
+#: conservative and precise alias modes, the relaxed call model, and
+#: elision on top of the inserter
+PLACEMENT_ENVS = ("ratchet", "r-pdg", "wario", "wario-summaries", "wario-opt")
+
+
+def checkpoint_positions(source, config):
+    """Every checkpoint of one compile as ``"function:block:index:cause"``
+    rows: the middle-end IR after ``run_middle_end`` and the machine IR
+    after ``lower_module``, each in layout order."""
+    from repro.backend import lower_module
+    from repro.ir.instructions import Checkpoint
+
+    module = compile_sources([source], "golden")
+    verify_module(module)
+    summaries = run_middle_end(module, config)
+    middle = [
+        f"{fn.name}:{block.name}:{idx}:{instr.cause}"
+        for fn in module.defined_functions()
+        for block in fn.blocks
+        for idx, instr in enumerate(block.instructions)
+        if isinstance(instr, Checkpoint)
+    ]
+    mmodule = lower_module(
+        module,
+        spill_checkpoint_mode=config.spill_checkpoint_mode,
+        epilogue_style=config.epilogue_style,
+        entry_checkpoints=config.instrument,
+        transparent=(summaries.transparent_names()
+                     if summaries is not None else None),
+    )
+    back = [
+        f"{fn.name}:{block.name}:{idx}:{instr.cause}"
+        for fn in mmodule.functions.values()
+        for block in fn.blocks
+        for idx, instr in enumerate(block.instructions)
+        if instr.opcode == "checkpoint"
+    ]
+    return {"middle_end": middle, "back_end": back}
+
+
+def generate_placements():
+    return {
+        f"{bench}/{env}": checkpoint_positions(BENCHMARKS[bench].source,
+                                               ENVIRONMENTS[env])
+        for bench in sorted(BENCHMARKS)
+        for env in PLACEMENT_ENVS
+    }
+
+
+FIXTURES = {
+    "war_diagnostics.json": generate,
+    "placements.json": generate_placements,
+}
+
+
 if __name__ == "__main__":
-    path = os.path.join(os.path.dirname(__file__), "war_diagnostics.json")
-    with open(path, "w") as handle:
-        json.dump(generate(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {path}")
+    for name in sys.argv[1:] or sorted(FIXTURES):
+        path = os.path.join(os.path.dirname(__file__), name)
+        with open(path, "w") as handle:
+            json.dump(FIXTURES[name](), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {path}")
