@@ -14,9 +14,9 @@ from .loops import Loop, LoopInfo, find_induction_variables, loop_info
 from .memdep import (
     BACKWARD,
     FORWARD,
+    WARIndex,
     WARViolation,
     access_size,
-    block_memory_accesses,
     find_wars,
     summary_sets_intersect,
 )
@@ -50,7 +50,7 @@ __all__ = [
     "DominatorTree", "PostDominatorTree", "dominator_tree",
     "post_dominator_tree", "dominance_frontiers",
     "Loop", "LoopInfo", "loop_info", "find_induction_variables",
-    "WARViolation", "find_wars", "access_size", "block_memory_accesses",
+    "WARIndex", "WARViolation", "find_wars", "access_size",
     "FORWARD", "BACKWARD", "summary_sets_intersect",
     "MAX_GEP_DEPTH", "TopCause", "compute_points_to", "report_top_causes",
     "AndersenPointsTo", "FunctionSummary", "SummaryTable", "compute_summaries",

@@ -17,8 +17,9 @@ WAR-free callees stop forcing entry/exit checkpoints.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..ir.instructions import Call, Checkpoint, Load, Store
 from .alias import AliasAnalysis
@@ -73,14 +74,27 @@ def _endpoint_objects(instr, aa: AliasAnalysis, summaries, want_mod: bool):
     return aa.classify(instr.pointer).possible_bases()
 
 
-def find_wars(
-    function,
-    aa: AliasAnalysis,
-    loop_info: LoopInfo,
-    calls_are_checkpoints: bool = True,
-    summaries=None,
-) -> List[WARViolation]:
-    """All unresolved WAR violations of ``function``.
+class _Access:
+    """One WAR endpoint and where it sits."""
+
+    __slots__ = ("instr", "block", "index")
+
+    def __init__(self, instr, block, index: int):
+        self.instr = instr
+        self.block = block
+        self.index = index
+
+
+class WARIndex:
+    """The memory accesses of one function, indexed by position for WAR
+    discovery.
+
+    Each endpoint's record (block, index) and each block's barrier
+    positions are computed once; the stores are also kept grouped by
+    block, sorted by index, so :meth:`frontier` can skip dominated
+    stores by bisection instead of classifying them.  Every query walks
+    accesses in program order — blocks in layout order, then instruction
+    index — and never in id or set order, so results are reproducible.
 
     ``calls_are_checkpoints`` models the forced checkpoints at function
     entry/exit: a call on every path between the read and the write of a
@@ -91,67 +105,163 @@ def find_wars(
     relaxes the call model: calls to transparent callees are not
     barriers but contribute their ref/mod sets as read/write endpoints.
     """
-    loads: List[Load] = []
-    stores: List[Store] = []
-    positions: Dict[int, Tuple[object, int]] = {}
-    barrier_index: Dict[int, List[int]] = {}
-    for block in function.blocks:
-        barriers: List[int] = []
-        for idx, instr in enumerate(block.instructions):
-            positions[id(instr)] = (block, idx)
-            if isinstance(instr, Load):
-                loads.append(instr)
-            elif isinstance(instr, Store):
-                stores.append(instr)
-            elif (
-                isinstance(instr, Call)
-                and calls_are_checkpoints
-                and summaries is not None
-                and summaries.is_transparent_call(instr)
-            ):
-                # A region may span this call: the callee's reads and
-                # writes happen inside the caller's open region.
-                loads.append(instr)
-                stores.append(instr)
-            if _is_barrier(instr, calls_are_checkpoints, summaries):
-                barriers.append(idx)
-        barrier_index[id(block)] = barriers
 
-    reach = reachability(function)
-    common_cache: Dict[Tuple[int, int], object] = {}
-    wars: List[WARViolation] = []
-    for load in loads:
-        lblock, lidx = positions[id(load)]
-        for store in stores:
-            sblock, sidx = positions[id(store)]
-            pair_key = (id(lblock), id(sblock))
-            if pair_key in common_cache:
-                common = common_cache[pair_key]
-            else:
-                common = loop_info.common_loop(lblock, sblock)
-                common_cache[pair_key] = common
-            war = _classify_pair(
-                load, lblock, lidx,
-                store, sblock, sidx,
-                aa, common, reach, summaries,
-            )
-            if war is None:
-                continue
-            if _resolved_by_barrier_index(
-                war, lblock, lidx, sblock, sidx, barrier_index
-            ):
-                continue
-            wars.append(war)
-    return wars
+    def __init__(
+        self,
+        function,
+        aa: AliasAnalysis,
+        loop_info: LoopInfo,
+        calls_are_checkpoints: bool = True,
+        summaries=None,
+    ):
+        self.aa = aa
+        self.loop_info = loop_info
+        self.summaries = summaries
+        self.loads: List[_Access] = []
+        self.stores: List[_Access] = []
+        self.barriers: Dict[int, List[int]] = {}
+        #: ``(block, store indices, stores)`` per block with stores
+        self.store_blocks: List[Tuple[object, List[int], List[_Access]]] = []
+        for block in function.blocks:
+            barriers: List[int] = []
+            stores: List[_Access] = []
+            for idx, instr in enumerate(block.instructions):
+                if isinstance(instr, Load):
+                    self.loads.append(_Access(instr, block, idx))
+                elif isinstance(instr, Store):
+                    stores.append(_Access(instr, block, idx))
+                elif (
+                    isinstance(instr, Call)
+                    and calls_are_checkpoints
+                    and summaries is not None
+                    and summaries.is_transparent_call(instr)
+                ):
+                    # A region may span this call: the callee's reads and
+                    # writes happen inside the caller's open region.
+                    self.loads.append(_Access(instr, block, idx))
+                    stores.append(_Access(instr, block, idx))
+                if _is_barrier(instr, calls_are_checkpoints, summaries):
+                    barriers.append(idx)
+            self.barriers[id(block)] = barriers
+            if stores:
+                self.stores.extend(stores)
+                self.store_blocks.append(
+                    (block, [store.index for store in stores], stores))
+        self.reach = reachability(function)
+        self._common: Dict[Tuple[int, int], Optional[Loop]] = {}
+
+    def _war(self, load: _Access, store: _Access) -> Optional[WARViolation]:
+        """The unresolved WAR of one (load, store) pair, if any."""
+        lblock, sblock = load.block, store.block
+        pair_key = (id(lblock), id(sblock))
+        if pair_key in self._common:
+            common = self._common[pair_key]
+        else:
+            common = self.loop_info.common_loop(lblock, sblock)
+            self._common[pair_key] = common
+        war = _classify_pair(
+            load.instr, lblock, load.index,
+            store.instr, sblock, store.index,
+            self.aa, common, self.reach, self.summaries,
+        )
+        if war is None or _resolved_by_barrier_index(
+            war, lblock, load.index, sblock, store.index, self.barriers
+        ):
+            return None
+        return war
+
+    def wars(self, blocks=None) -> Iterator[WARViolation]:
+        """Every unresolved WAR, loads in program order and each load's
+        stores in program order — the order of an all-pairs scan.
+
+        ``blocks`` restricts both endpoints to those blocks.
+        """
+        loads, stores = self.loads, self.stores
+        if blocks is not None:
+            inside = {id(b) for b in blocks}
+            loads = [a for a in loads if id(a.block) in inside]
+            stores = [a for a in stores if id(a.block) in inside]
+        for load in loads:
+            for store in stores:
+                war = self._war(load, store)
+                if war is not None:
+                    yield war
+
+    def frontier(self) -> List[Tuple[WARViolation, int, int]]:
+        """The Pareto frontier of :meth:`wars`: ``(war, load index,
+        store index)`` for the WARs whose candidate positions are not a
+        superset of another WAR's.
+
+        For two WARs with the same (load block, store block, kind), the
+        candidate positions are purely positional: a later load and an
+        earlier store yield a *subset* candidate set, so hitting it also
+        hits the other pair.  Keeping only the frontier (maximal load
+        index, minimal store index) collapses the quadratic pair blow-up
+        of unrolled loops without changing the chosen checkpoints.
+
+        Each load block's loads are visited by descending index; per
+        (store block, kind) group, the stores at or after the best store
+        index kept so far are skipped before they are classified, and the
+        first unresolved WAR below it is kept.  The kind of a pair is
+        positional: in one block, ``forward`` exactly when the store
+        follows the load; across blocks, ``forward`` exactly when the
+        store's block is reachable from the load's.
+        """
+        loads_by_block: Dict[int, List[_Access]] = {}
+        for load in self.loads:
+            loads_by_block.setdefault(id(load.block), []).append(load)
+        kept: List[Tuple[WARViolation, int, int]] = []
+        for loads in loads_by_block.values():
+            lblock = loads[0].block
+            reach = self.reach[id(lblock)]
+            best: Dict[Tuple[int, str], int] = {}
+            for load in reversed(loads):
+                for sblock, indices, stores in self.store_blocks:
+                    if sblock is lblock:
+                        split = bisect.bisect_right(indices, load.index)
+                        groups = ((BACKWARD, 0, split),
+                                  (FORWARD, split, len(stores)))
+                    else:
+                        kind = FORWARD if id(sblock) in reach else BACKWARD
+                        groups = ((kind, 0, len(stores)),)
+                    for kind, lo, hi in groups:
+                        group = (id(sblock), kind)
+                        bound = best.get(group)
+                        if bound is not None:
+                            hi = bisect.bisect_left(indices, bound, lo, hi)
+                        for store in stores[lo:hi]:
+                            war = self._war(load, store)
+                            if war is not None:
+                                best[group] = store.index
+                                kept.append((war, load.index, store.index))
+                                break
+        return kept
+
+
+def find_wars(
+    function,
+    aa: AliasAnalysis,
+    loop_info: LoopInfo,
+    calls_are_checkpoints: bool = True,
+    summaries=None,
+) -> List[WARViolation]:
+    """All unresolved WAR violations of ``function`` (see
+    :class:`WARIndex` for the call model), in :meth:`WARIndex.wars`
+    order."""
+    return list(
+        WARIndex(function, aa, loop_info, calls_are_checkpoints, summaries).wars()
+    )
 
 
 def _resolved_by_barrier_index(
     war: WARViolation, lblock, lidx, sblock, sidx, barrier_index
 ) -> bool:
-    """Fast version of the barrier-on-every-path check over precomputed,
-    sorted per-block barrier positions."""
-    import bisect
+    """True if a forced checkpoint lies on *every* load->store path.
 
+    We only prove this for segments guaranteed to be on every path: the
+    remainder of the load's block, and the prefix of the store's block,
+    over the sorted per-block barrier positions.
+    """
     lbars = barrier_index[id(lblock)]
     sbars = barrier_index[id(sblock)]
     if lblock is sblock:
@@ -224,30 +334,3 @@ def _is_barrier(instr, calls_are_checkpoints: bool, summaries=None) -> bool:
     if summaries is not None and summaries.is_transparent_call(instr):
         return False
     return True
-
-
-def _resolved_by_barrier(
-    war: WARViolation, lblock, lidx, sblock, sidx, calls_are_checkpoints: bool,
-    summaries=None,
-) -> bool:
-    """True if a forced checkpoint lies on *every* load->store path.
-
-    We only prove this for segments guaranteed to be on every path: the
-    remainder of the load's block, and the prefix of the store's block.
-    """
-    if lblock is sblock:
-        if war.kind == FORWARD:
-            segment = lblock.instructions[lidx + 1 : sidx]
-        else:
-            segment = lblock.instructions[lidx + 1 :] + lblock.instructions[:sidx]
-        return any(_is_barrier(i, calls_are_checkpoints, summaries) for i in segment)
-    after_load = lblock.instructions[lidx + 1 :]
-    before_store = sblock.instructions[:sidx]
-    return any(
-        _is_barrier(i, calls_are_checkpoints, summaries) for i in after_load
-    ) or any(_is_barrier(i, calls_are_checkpoints, summaries) for i in before_store)
-
-
-def block_memory_accesses(block) -> List:
-    """The loads and stores of a block, in order."""
-    return [i for i in block.instructions if isinstance(i, (Load, Store))]

@@ -46,7 +46,7 @@ Interprocedural behaviour follows the instrumentation model:
   not *transparent*; a transparent call is checked as a write of the
   callee's mod set against the exposed loads, then becomes an exposed
   read of the callee's ref set.  This mirrors
-  :func:`repro.analysis.memdep.find_wars` exactly, so the verifier
+  :meth:`repro.analysis.memdep.WARIndex.wars` exactly, so the verifier
   re-certifies what the summaries-aware inserter produced.
 """
 

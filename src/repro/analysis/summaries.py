@@ -580,7 +580,7 @@ def compute_summaries(
     diagnostics for every recorded precision loss.
     """
     from .loops import loop_info
-    from .memdep import find_wars
+    from .memdep import WARIndex
 
     pt = AndersenPointsTo(module)
     arg_points_to = pt.argument_map()
@@ -627,8 +627,9 @@ def compute_summaries(
         if any(not table.is_transparent_call(c) for c in calls):
             continue
         aa = AliasAnalysis(fn, alias_mode, points_to=arg_points_to)
-        if find_wars(fn, aa, loop_info(fn), calls_are_checkpoints=True,
-                     summaries=table):
+        wars = WARIndex(fn, aa, loop_info(fn), calls_are_checkpoints=True,
+                        summaries=table).wars()
+        if next(wars, None) is not None:
             continue
         table.transparent.add(fn.name)
 

@@ -15,6 +15,7 @@ Two inserters are provided (paper §3.1.3):
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -79,10 +80,6 @@ def _is_barrier(
     return True
 
 
-def _segment_has_barrier(instrs, calls_are_checkpoints: bool) -> bool:
-    return any(_is_barrier(i, calls_are_checkpoints) for i in instrs)
-
-
 @dataclass
 class SpillWAR:
     load: SlotAccess
@@ -120,19 +117,25 @@ def find_spill_wars(
                 if war is not None:
                     pairs.append(war)
     pairs = _prune_dominated(pairs)
-    barrier_positions = {
-        (block.name, idx)
+    barriers = {
+        block.name: [
+            idx for idx, instr in enumerate(block.instructions)
+            if _is_barrier(instr, calls_are_checkpoints, barrier_callees)
+        ]
         for block in fn.blocks
-        for idx, instr in enumerate(block.instructions)
-        if _is_barrier(instr, calls_are_checkpoints, barrier_callees)
     }
-    articulation_cache: Dict[Tuple[int, int], List] = {}
-    wars: List[SpillWAR] = []
-    for war in pairs:
-        candidates = _candidates(war, fn, articulation_cache)
-        if barrier_positions.isdisjoint(candidates):
-            wars.append(war)
-    return wars
+    path_cache: Dict = {}
+    return [
+        war for war in pairs
+        if not any(_holds_barrier(barriers[span.block], span)
+                   for span in _candidates(war, fn, path_cache))
+    ]
+
+
+def _holds_barrier(barriers: List[int], span) -> bool:
+    """Does the run ``span`` contain one of the sorted ``barriers``?"""
+    pos = bisect.bisect_left(barriers, span.lo)
+    return pos < len(barriers) and barriers[pos] <= span.hi
 
 
 def _classify(load: SlotAccess, store: SlotAccess, reach) -> Optional[SpillWAR]:
@@ -172,36 +175,30 @@ def _prune_dominated(wars: List[SpillWAR]) -> List[SpillWAR]:
     return kept
 
 
-def _candidates(war: SpillWAR, fn: MFunction, articulation_cache=None) -> List[Tuple[str, int]]:
-    load, store = war.load, war.store
-    positions: List[Tuple[str, int]] = []
-    if load.block is store.block and war.kind == "forward":
-        return [(load.block.name, j) for j in range(load.index + 1, store.index + 1)]
-    positions.extend(
-        (load.block.name, j)
-        for j in range(load.index + 1, _insertable_end(load.block) + 1)
-    )
-    positions.extend(
-        (store.block.name, j)
-        for j in range(0, store.index + 1)
-        if not (store.block is load.block and j > load.index)
-    )
+def _candidates(war: SpillWAR, fn: MFunction, path_cache=None) -> List:
+    """The positions that break ``war`` as inclusive
+    :class:`~repro.core.hitting_set.Span` runs (a run may be empty):
+    after the load in its block, up to the store in its block, and all
+    of each block that every load->store path crosses."""
+    # Local imports: repro.core imports the backend for its pipeline.
     from ..core.checkpoint_inserter import blocks_on_every_path
+    from ..core.hitting_set import Span
 
-    if articulation_cache is None:
-        articulation_cache = {}
-    cache_key = (id(load.block), id(store.block))
-    articulation = articulation_cache.get(cache_key)
-    if articulation is None:
-        articulation = blocks_on_every_path(
-            load.block, store.block, fn.blocks, lambda b: b.successors()
-        )
-        articulation_cache[cache_key] = articulation
-    for block in articulation:
-        positions.extend(
-            (block.name, j) for j in range(0, _insertable_end(block) + 1)
-        )
-    return positions
+    load, store = war.load, war.store
+    if load.block is store.block and war.kind == "forward":
+        return [Span(load.block.name, load.index + 1, store.index)]
+    spans = [
+        Span(load.block.name, load.index + 1, _insertable_end(load.block)),
+        Span(store.block.name, 0,
+             min(store.index, load.index) if store.block is load.block
+             else store.index),
+    ]
+    for block in blocks_on_every_path(
+        load.block, store.block, fn.blocks, lambda b: b.successors(),
+        path_cache,
+    ):
+        spans.append(Span(block.name, 0, _insertable_end(block)))
+    return spans
 
 
 def _insertable_end(block: MBlock) -> int:
@@ -241,8 +238,8 @@ def insert_spill_checkpoints(
         reach = _reachability(fn)
         in_cycle = {b.name: b.name in reach[b.name] for b in fn.blocks}
         preferred = {(war.store.block.name, war.store.index) for war in wars}
-        articulation_cache = {}
-        requirements = [_candidates(war, fn, articulation_cache) for war in wars]
+        path_cache: Dict = {}
+        requirements = [_candidates(war, fn, path_cache) for war in wars]
 
         def cost(key) -> float:
             base = 10.0 if in_cycle[key[0]] else 1.0

@@ -12,16 +12,21 @@ Positions are keyed by (block name, index) so placement is fully
 deterministic; among equal-coverage-per-cost candidates the position
 directly before a WAR write wins (Ratchet's natural location, usually
 the most rarely executed choice when the write is guarded).
+
+Only the WARs on :meth:`~repro.analysis.memdep.WARIndex.frontier` get a
+requirement (a dominated WAR's candidate set contains another's), and
+each requirement is a handful of :class:`~repro.core.hitting_set.Span`
+runs rather than an expanded position list.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..analysis import AliasAnalysis, WARViolation, find_wars, loop_info
+from ..analysis import AliasAnalysis, WARIndex, WARViolation, loop_info
 from ..analysis.memdep import FORWARD
 from ..ir.instructions import CKPT_MIDDLE_END, Checkpoint
-from .hitting_set import greedy_hitting_set
+from .hitting_set import Span, greedy_hitting_set
 
 
 def insert_checkpoints(module, alias_mode: str = "precise", summaries=None,
@@ -59,24 +64,22 @@ def insert_function_checkpoints(
 ) -> int:
     aa = AliasAnalysis(function, alias_mode, points_to=points_to)
     li = loop_info(function)
-    wars = find_wars(
+    frontier = WARIndex(
         function, aa, li, calls_are_checkpoints=True, summaries=summaries
-    )
-    if not wars:
+    ).frontier()
+    if not frontier:
         return 0
-    wars = prune_dominated_wars(wars)
-    articulation_cache: Dict[Tuple[int, int], List] = {}
-    requirements = [
-        war_candidate_positions(war, function, articulation_cache) for war in wars
-    ]
+    path_cache: Dict = {}
+    requirements = []
+    # Prefer the position directly before each WAR write on ties.
+    preferred: Set[Tuple[str, int]] = set()
+    for war, lidx, sidx in frontier:
+        requirements.append(
+            _candidate_spans(war, lidx, sidx, function, path_cache))
+        preferred.add((war.store.parent.name, sidx))
 
     blocks_by_name = {b.name: b for b in function.blocks}
     depth_cache: Dict[str, int] = {}
-    # Prefer the position directly before each WAR write on ties.
-    preferred: Set[Tuple[str, int]] = set()
-    for war in wars:
-        sblock = war.store.parent
-        preferred.add((sblock.name, sblock.index_of(war.store)))
 
     def cost(key) -> float:
         block_name, _idx = key
@@ -88,49 +91,6 @@ def insert_function_checkpoints(
     chosen = greedy_hitting_set(requirements, cost)
     _insert_at(function, chosen, blocks_by_name)
     return len(chosen)
-
-
-def prune_dominated_wars(wars: List[WARViolation]) -> List[WARViolation]:
-    """Drop WARs whose candidate sets are supersets of another WAR's.
-
-    For two WARs with the same (load block, store block, kind), the
-    candidate positions are purely positional: a later load and an
-    earlier store yield a *subset* candidate set, so hitting it also hits
-    the other pair.  Keeping only the Pareto frontier (maximal load
-    index, minimal store index) collapses the quadratic pair blow-up of
-    unrolled loops without changing the chosen checkpoints.
-    """
-    positions: Dict[int, int] = {}
-
-    def index_of(instr) -> int:
-        idx = positions.get(id(instr))
-        if idx is None:
-            for i, candidate in enumerate(instr.parent.instructions):
-                positions[id(candidate)] = i
-            idx = positions[id(instr)]
-        return idx
-
-    groups: Dict[Tuple[int, int, str], List[WARViolation]] = {}
-    for war in wars:
-        key = (id(war.load.parent), id(war.store.parent), war.kind)
-        groups.setdefault(key, []).append(war)
-    kept: List[WARViolation] = []
-    for group in groups.values():
-        if len(group) == 1:
-            kept.extend(group)
-            continue
-        indexed = [
-            (index_of(war.load), index_of(war.store), war) for war in group
-        ]
-        # sort by load index descending; keep wars whose store index is a
-        # new minimum (not dominated by any same-or-later load)
-        indexed.sort(key=lambda t: (-t[0], t[1]))
-        best_sidx = None
-        for lidx, sidx, war in indexed:
-            if best_sidx is None or sidx < best_sidx:
-                kept.append(war)
-                best_sidx = sidx
-    return kept
 
 
 def war_candidate_positions(
@@ -150,87 +110,97 @@ def war_candidate_positions(
       traverses — crucial for clustered writes in unrolled loop chains,
       where the single cluster point must cover WARs whose endpoints sit
       in other replicas.
+
+    ``articulation_cache`` is the per-function memo of
+    :func:`blocks_on_every_path`.  The inserter itself works on the
+    same positions as inclusive :class:`~repro.core.hitting_set.Span`
+    runs (:func:`_candidate_spans`); this lists them one by one.
     """
-    load, store = war.load, war.store
-    lblock, sblock = load.parent, store.parent
-    lidx = lblock.index_of(load)
-    sidx = sblock.index_of(store)
-    positions: List[Tuple[str, int]] = []
+    lidx = war.load.parent.index_of(war.load)
+    sidx = war.store.parent.index_of(war.store)
+    spans = _candidate_spans(war, lidx, sidx, function, articulation_cache)
+    return [
+        (span.block, j) for span in spans for j in range(span.lo, span.hi + 1)
+    ]
+
+
+def _candidate_spans(
+    war: WARViolation, lidx: int, sidx: int, function=None, path_cache=None
+) -> List[Span]:
+    """:func:`war_candidate_positions` as inclusive runs, for a WAR whose
+    load and store sit at ``lidx`` and ``sidx`` of their blocks (a run
+    may be empty, ``lo > hi``)."""
+    lblock, sblock = war.load.parent, war.store.parent
     if lblock is sblock and war.kind == FORWARD:
-        return [(lblock.name, j) for j in range(lidx + 1, sidx + 1)]
-    # Suffix of the load's block (never beyond the terminator).
-    last = len(lblock.instructions)
-    if lblock.terminator is not None:
-        last -= 1
-    positions.extend((lblock.name, j) for j in range(lidx + 1, last + 1))
-    # Prefix of the store's block, after any phis, up to the store —
-    # excluding positions at/before the load when it shares the block
+        return [Span(lblock.name, lidx + 1, sidx)]
+    # Suffix of the load's block (never beyond the terminator), then the
+    # prefix of the store's block, after any phis, up to the store —
+    # excluding positions after the load when it shares the block
     # (backward same-block WARs have sidx <= lidx, so this is safe).
-    first = sblock.first_insertion_index()
-    positions.extend(
-        (sblock.name, j)
-        for j in range(first, sidx + 1)
-        if not (sblock is lblock and j > lidx)
-    )
+    spans = [
+        Span(lblock.name, lidx + 1, _last_insertion_index(lblock)),
+        Span(sblock.name, sblock.first_insertion_index(),
+             min(sidx, lidx) if sblock is lblock else sidx),
+    ]
     fn = function if function is not None else lblock.parent
-    if articulation_cache is None:
-        articulation_cache = {}
-    cache_key = (id(lblock), id(sblock))
-    articulation = articulation_cache.get(cache_key)
-    if articulation is None:
-        articulation = blocks_on_every_path(
-            lblock, sblock, fn.blocks, lambda b: b.successors
-        )
-        articulation_cache[cache_key] = articulation
-    for block in articulation:
-        b_first = block.first_insertion_index()
-        b_last = len(block.instructions)
-        if block.terminator is not None:
-            b_last -= 1
-        positions.extend((block.name, j) for j in range(b_first, b_last + 1))
-    return positions
+    for block in blocks_on_every_path(
+        lblock, sblock, fn.blocks, lambda b: b.successors, path_cache
+    ):
+        spans.append(Span(block.name, block.first_insertion_index(),
+                          _last_insertion_index(block)))
+    return spans
 
 
-def blocks_on_every_path(lblock, sblock, all_blocks, succs_of) -> List:
+def _last_insertion_index(block) -> int:
+    last = len(block.instructions)
+    if block.terminator is not None:
+        last -= 1
+    return last
+
+
+def blocks_on_every_path(lblock, sblock, all_blocks, succs_of, cache=None) -> List:
     """Blocks (other than the endpoints) that every path from the load's
     block exit to the store's block entry must traverse.
 
     Classic equivalence: a block lies on every path from s's exit to t
     iff it dominates t in the graph rooted at a virtual node whose
     successors are s's successors.  One dominator computation serves all
-    queries from the same source block (see :func:`_source_dominators`).
+    queries from the same source block.
+
+    ``cache`` is a dict the caller keeps for one function while its CFG
+    does not change (a placement pass): it memoises each source block's
+    dominator tree (keyed by the block's id) and each pair's answer
+    (keyed by the pair of ids).
     """
-    idom, reachable = _source_dominators(lblock, all_blocks, succs_of)
-    if id(sblock) not in reachable:
-        return []
-    out: List = []
-    node_id = idom.get(id(sblock))
-    while node_id is not None:
-        block = reachable.get(node_id)
-        if block is None:  # reached the virtual root
-            break
-        if block is not lblock and block is not sblock:
-            out.append(block)
-        node_id = idom.get(node_id)
+    if cache is None:
+        cache = {}
+    pair = (id(lblock), id(sblock))
+    out = cache.get(pair)
+    if out is not None:
+        return out
+    dominators = cache.get(id(lblock))
+    if dominators is None:
+        dominators = _source_dominators(lblock, all_blocks, succs_of)
+        cache[id(lblock)] = dominators
+    idom, reachable = dominators
+    out = []
+    if id(sblock) in reachable:
+        node_id = idom.get(id(sblock))
+        while node_id is not None:
+            block = reachable.get(node_id)
+            if block is None:  # reached the virtual root
+                break
+            if block is not lblock and block is not sblock:
+                out.append(block)
+            node_id = idom.get(node_id)
+    cache[pair] = out
     return out
 
 
 def _source_dominators(lblock, all_blocks, succs_of):
     """Immediate dominators (by block id) of the CFG rooted at a virtual
     node preceding ``lblock``'s successors, plus the reachable-block map.
-
-    Results are cached on the source block for the duration of the
-    containing pass (keyed by a shared dict attached to the function via
-    the caller's articulation cache, so here a plain per-call memo on the
-    block object would leak; instead the caller-level cache in
-    ``insert_function_checkpoints``/``find_spill_wars`` keeps pair-level
-    results, and this function memoises per (source, graph size)).
     """
-    cache = getattr(_source_dominators, "_cache", None)
-    key = (id(lblock), len(all_blocks))
-    if cache is not None and cache.get("key0") is all_blocks and key in cache:
-        return cache[key]
-
     root_id = -1
     succ_map = {id(b): [id(s) for s in succs_of(b)] for b in all_blocks}
     succ_map[root_id] = [id(s) for s in succs_of(lblock)]
@@ -294,12 +264,7 @@ def _source_dominators(lblock, all_blocks, succs_of):
         for node, parent in idom.items()
         if node != root_id
     }
-    result = (result_idom, reachable)
-    if cache is None or cache.get("key0") is not all_blocks:
-        cache = {"key0": all_blocks}
-        _source_dominators._cache = cache
-    cache[key] = result
-    return result
+    return result_idom, reachable
 
 
 def _insert_at(function, chosen, blocks_by_name) -> None:

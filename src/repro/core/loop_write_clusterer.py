@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis import AliasAnalysis, find_wars, loop_info
+from ..analysis import AliasAnalysis, WARIndex, loop_info
 from ..analysis.memdep import access_size
 from ..ir.block import split_edge
 from ..ir.instructions import Call, Checkpoint, ICmp, Load, Select, Store
@@ -128,11 +128,11 @@ def _transform(function, unrolled: UnrolledLoop, alias_mode: str, report: Cluste
             break
 
     # 1. WAR stores of the unrolled body.
-    wars = find_wars(function, aa, li, calls_are_checkpoints=True)
-    war_store_ids: Set[int] = set()
-    for war in wars:
-        if id(war.store.parent) in chain_ids and id(war.load.parent) in chain_ids:
-            war_store_ids.add(id(war.store))
+    war_store_ids: Set[int] = {
+        id(war.store)
+        for war in WARIndex(function, aa, li, calls_are_checkpoints=True).wars(
+            blocks=chain)
+    }
 
     ordered: List[Tuple[object, object]] = []  # (block, instr) in chain order
     for block in chain:
