@@ -180,9 +180,14 @@ class AliasAnalysis:
     def may_alias(self, ptr_a: Value, size_a: int, ptr_b: Value, size_b: int) -> bool:
         """May the two accesses overlap *within the same loop iteration*
         (or outside any loop)?"""
-        a, b = self.classify(ptr_a), self.classify(ptr_b)
-        distinct = self._distinct_bases(a, b)
-        if distinct:
+        return self.may_alias_info(
+            self.classify(ptr_a), size_a, self.classify(ptr_b), size_b
+        )
+
+    def may_alias_info(self, a: PointerInfo, size_a: int,
+                       b: PointerInfo, size_b: int) -> bool:
+        """:meth:`may_alias` over already-classified pointers."""
+        if self._distinct_bases(a, b):
             return False
         if a.base is None or b.base is None or a.base is not b.base:
             return True  # unknown or possibly-equal bases
@@ -220,7 +225,21 @@ class AliasAnalysis:
     ) -> bool:
         """May an access at iteration ``i`` (earlier) overlap an access at
         iteration ``i + k`` for some ``k >= 1`` (later) of ``loop``?"""
-        a, b = self.classify(ptr_earlier), self.classify(ptr_later)
+        return self.may_alias_cross_iteration_info(
+            self.classify(ptr_earlier), size_e,
+            self.classify(ptr_later), size_l, loop,
+        )
+
+    def may_alias_cross_iteration_info(
+        self,
+        a: PointerInfo,
+        size_e: int,
+        b: PointerInfo,
+        size_l: int,
+        loop: Loop,
+    ) -> bool:
+        """:meth:`may_alias_cross_iteration` over already-classified
+        pointers (``a`` the earlier access, ``b`` the later one)."""
         if self._distinct_bases(a, b):
             return False
         if a.base is None or b.base is None or a.base is not b.base:

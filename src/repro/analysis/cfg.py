@@ -6,18 +6,26 @@ from typing import Dict, List, Set
 
 
 def reverse_postorder(function) -> List:
-    """Blocks in reverse postorder from the entry (unreachable blocks last)."""
-    visited: Set[int] = set()
+    """Blocks in reverse postorder from the entry (unreachable blocks last).
+
+    The depth-first walk keeps an explicit stack of successor iterators,
+    so a deep CFG cannot exhaust the interpreter's recursion limit; it
+    visits successors in the same order as the recursive walk would.
+    """
+    entry = function.entry
+    visited: Set[int] = {id(entry)}
     order: List = []
-
-    def dfs(block):
-        visited.add(id(block))
-        for succ in block.successors:
+    stack = [(entry, iter(entry.successors))]
+    while stack:
+        block, successors = stack[-1]
+        for succ in successors:
             if id(succ) not in visited:
-                dfs(succ)
-        order.append(block)
-
-    dfs(function.entry)
+                visited.add(id(succ))
+                stack.append((succ, iter(succ.successors)))
+                break
+        else:
+            stack.pop()
+            order.append(block)
     rpo = list(reversed(order))
     for block in function.blocks:
         if id(block) not in visited:

@@ -66,35 +66,46 @@ def summary_sets_intersect(a: Optional[frozenset], b: Optional[frozenset]) -> bo
     return bool(a & b)
 
 
-def _endpoint_objects(instr, aa: AliasAnalysis, summaries, want_mod: bool):
+def _endpoint_objects(access: "_Access", summaries, want_mod: bool):
     """Objects an endpoint (load/store/transparent call) may touch, or
     None for TOP."""
-    if isinstance(instr, Call):
-        return summaries.call_mod(instr) if want_mod else summaries.call_ref(instr)
-    return aa.classify(instr.pointer).possible_bases()
+    if access.info is None:
+        call = access.instr
+        return summaries.call_mod(call) if want_mod else summaries.call_ref(call)
+    return access.info.possible_bases()
 
 
 class _Access:
-    """One WAR endpoint and where it sits."""
+    """One WAR endpoint, where it sits, and what it touches: the access
+    size and the pointer's :class:`~repro.analysis.alias.PointerInfo`
+    (both ``None`` for a transparent call, which stands for its
+    callee's ref/mod sets)."""
 
-    __slots__ = ("instr", "block", "index")
+    __slots__ = ("instr", "block", "index", "size", "info")
 
-    def __init__(self, instr, block, index: int):
+    def __init__(self, instr, block, index: int, aa: AliasAnalysis):
         self.instr = instr
         self.block = block
         self.index = index
+        if isinstance(instr, Call):
+            self.size = self.info = None
+        else:
+            self.size = access_size(instr)
+            self.info = aa.classify(instr.pointer)
 
 
 class WARIndex:
     """The memory accesses of one function, indexed by position for WAR
     discovery.
 
-    Each endpoint's record (block, index) and each block's barrier
-    positions are computed once; the stores are also kept grouped by
-    block, sorted by index, so :meth:`frontier` can skip dominated
-    stores by bisection instead of classifying them.  Every query walks
-    accesses in program order — blocks in layout order, then instruction
-    index — and never in id or set order, so results are reproducible.
+    Each endpoint's record (:class:`_Access`: block, index, access size
+    and pointer classification) and each block's barrier positions are
+    computed once, so classifying a pair recomputes neither endpoint;
+    the stores are also kept grouped by block, sorted by index, so
+    :meth:`frontier` can skip dominated stores by bisection instead of
+    classifying them.  Every query walks accesses in program order —
+    blocks in layout order, then instruction index — and never in id or
+    set order, so results are reproducible.
 
     ``calls_are_checkpoints`` models the forced checkpoints at function
     entry/exit: a call on every path between the read and the write of a
@@ -127,9 +138,9 @@ class WARIndex:
             stores: List[_Access] = []
             for idx, instr in enumerate(block.instructions):
                 if isinstance(instr, Load):
-                    self.loads.append(_Access(instr, block, idx))
+                    self.loads.append(_Access(instr, block, idx, aa))
                 elif isinstance(instr, Store):
-                    stores.append(_Access(instr, block, idx))
+                    stores.append(_Access(instr, block, idx, aa))
                 elif (
                     isinstance(instr, Call)
                     and calls_are_checkpoints
@@ -138,8 +149,9 @@ class WARIndex:
                 ):
                     # A region may span this call: the callee's reads and
                     # writes happen inside the caller's open region.
-                    self.loads.append(_Access(instr, block, idx))
-                    stores.append(_Access(instr, block, idx))
+                    access = _Access(instr, block, idx, aa)
+                    self.loads.append(access)
+                    stores.append(access)
                 if _is_barrier(instr, calls_are_checkpoints, summaries):
                     barriers.append(idx)
             self.barriers[id(block)] = barriers
@@ -160,9 +172,7 @@ class WARIndex:
             common = self.loop_info.common_loop(lblock, sblock)
             self._common[pair_key] = common
         war = _classify_pair(
-            load.instr, lblock, load.index,
-            store.instr, sblock, store.index,
-            self.aa, common, self.reach, self.summaries,
+            load, store, self.aa, common, self.reach, self.summaries
         )
         if war is None or _resolved_by_barrier_index(
             war, lblock, load.index, sblock, store.index, self.barriers
@@ -276,53 +286,54 @@ def _resolved_by_barrier_index(
 
 
 def _classify_pair(
-    load, lblock, lidx,
-    store, sblock, sidx,
+    load: _Access,
+    store: _Access,
     aa: AliasAnalysis,
     common: Optional[Loop],
     reach,
     summaries=None,
 ) -> Optional[WARViolation]:
-    if isinstance(load, Call) or isinstance(store, Call):
+    if load.info is None or store.info is None:
         # Object-granular: the callee may touch any part of its summary
         # objects in any iteration, so the same test serves both the
         # same-iteration and the cross-iteration query.
         overlap = summary_sets_intersect(
-            _endpoint_objects(load, aa, summaries, want_mod=False),
-            _endpoint_objects(store, aa, summaries, want_mod=True),
+            _endpoint_objects(load, summaries, want_mod=False),
+            _endpoint_objects(store, summaries, want_mod=True),
         )
         same_iter_alias = cross_alias = overlap
     else:
-        lsize = access_size(load)
-        ssize = access_size(store)
-        same_iter_alias = aa.may_alias(load.pointer, lsize, store.pointer, ssize)
+        same_iter_alias = aa.may_alias_info(
+            load.info, load.size, store.info, store.size
+        )
         cross_alias = (
             common is not None
-            and aa.may_alias_cross_iteration(
-                load.pointer, lsize, store.pointer, ssize, common
+            and aa.may_alias_cross_iteration_info(
+                load.info, load.size, store.info, store.size, common
             )
         )
     if common is None:
         cross_alias = False
+    lblock, sblock = load.block, store.block
     if lblock is sblock:
-        if sidx > lidx:
+        if store.index > load.index:
             if same_iter_alias or cross_alias:
-                return WARViolation(load, store, FORWARD)
+                return WARViolation(load.instr, store.instr, FORWARD)
             return None
         # Store textually at/before the load (or the same transparent
         # call, reading and writing once per execution): only reachable
         # around a cycle.
         if common is None or not cross_alias:
             return None
-        return WARViolation(load, store, BACKWARD)
+        return WARViolation(load.instr, store.instr, BACKWARD)
     if id(sblock) in reach[id(lblock)]:
         if same_iter_alias or cross_alias:
-            return WARViolation(load, store, FORWARD)
+            return WARViolation(load.instr, store.instr, FORWARD)
         return None
     if common is not None and cross_alias:
         # Same loop, store does not follow the load within an iteration:
         # the path wraps the back edge.
-        return WARViolation(load, store, BACKWARD)
+        return WARViolation(load.instr, store.instr, BACKWARD)
     return None
 
 

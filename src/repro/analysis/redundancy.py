@@ -31,6 +31,12 @@ proof obligations on the merged region:
     in bottom-up — so the merge cannot starve a device the un-merged
     program served.
 
+The sub-proofs are evaluated in that order and a trial stops at the
+first violated one, unless the elision is forced.  Both memory
+sub-proofs come from one reporting pass over the merged fixpoint, which
+feeds the same WAR events to both; a trial that only asks ends that
+pass at the first finding.
+
 If and only if all three hold, ``c`` is provably redundant: every
 behaviour the merged region can exhibit under power failure was already
 proven consistent, and the machine-level certifiers re-verify the elided
@@ -86,6 +92,11 @@ class ElisionDecision:
     #: the decision was imposed by the TEST-ONLY ``force_unsafe_elision``
     #: knob rather than proven (sub-proofs are still evaluated/recorded)
     forced: bool
+    #: the evaluated sub-proofs, in certificate order: all three when
+    #: the memory sub-proofs discharge or the decision is forced; only
+    #: the two memory sub-proofs (violated together) when a non-forced
+    #: trial fails on them, their details then naming only the first
+    #: WAR found
     subproofs: List[Dict[str, object]] = field(default_factory=list)
 
 
@@ -113,15 +124,31 @@ class _CountingReporter:
             f"read by {self._describe(load)}"
         )
 
-    def call_in_region(self, call, block, idx, state) -> None:
-        key = ("call", id(call))
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        self.findings.append(
-            f"call to '{call.callee.name}' inside an open region with "
-            f"exposed reads"
-        )
+
+class _FirstFinding(Exception):
+    """Ends a non-forced trial's reporting pass at its first WAR."""
+
+
+class _TrialReporter:
+    """One reporting pass over the merged fixpoint, fed to the reporters
+    of both memory sub-proofs.
+
+    Both get identical ``war`` calls, and no ``call_in_region`` call
+    (the pass only makes those when calls are not checkpoints, and
+    trials model them as checkpoints), so the two obligations are always
+    violated or discharged together.  With ``stop`` the pass ends at the
+    first finding, which already refutes the merge.
+    """
+
+    def __init__(self, reporters, stop: bool):
+        self.reporters = reporters
+        self.stop = stop
+
+    def war(self, load, flags: int, store, kind: str) -> None:
+        for reporter in self.reporters:
+            reporter.war(load, flags, store, kind)
+        if self.stop:
+            raise _FirstFinding
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +395,29 @@ class RedundancyAnalysis:
 
     def decide(self, ckpt: Checkpoint, weight: float = 0.0,
                forced: bool = False) -> ElisionDecision:
-        """Evaluate all three sub-proofs for eliding ``ckpt``."""
+        """Evaluate the sub-proofs for eliding ``ckpt``, in certificate
+        order, stopping after the first violated one unless ``forced``.
+
+        The two memory sub-proofs come from one reporting pass over the
+        merged fixpoint and are violated or discharged together; the
+        progress sub-proof runs only when they discharge, or when the
+        decision is forced (which evaluates all three in full).
+        """
         block = ckpt.parent
-        at = f"{block.name}@{block.index_of(ckpt)}"
+        index = block.index_of(ckpt)
+        at = f"{block.name}@{index}"
         labels = region_labels(self.function, True, self.summaries)
         region = labels.get(id(block), "entry")
 
-        # One merged-region fixpoint serves both memory sub-proofs.
-        merged = _FunctionWARAnalysis(
-            self.function, self.aa, self.li, True, self.summaries,
-            ignore={id(ckpt)},
-        )
-        merged.run()
-
-        subproofs = [
-            self._war_subproof(merged, region, at),
-            self._idempotence_subproof(merged, labels, region, at),
-            self._progress_subproof(ckpt, region, at),
-        ]
+        subproofs = self._memory_subproofs(ckpt, labels, region, at, forced)
+        if forced or all(o["status"] == "discharged" for o in subproofs):
+            subproofs.append(self._progress_subproof(ckpt, region, at))
         redundant = all(o["status"] == "discharged" for o in subproofs)
         return ElisionDecision(
             checkpoint=ckpt,
             function=self.function.name,
             block=block.name,
-            index=block.index_of(ckpt),
+            index=index,
             cause=ckpt.cause,
             weight=weight,
             redundant=redundant,
@@ -400,9 +426,34 @@ class RedundancyAnalysis:
         )
 
     # -- the three sub-proofs -------------------------------------------
-    def _war_subproof(self, merged, region: str, at: str):
-        reporter = _CountingReporter(self.aa)
-        merged.report(reporter)
+    def _memory_subproofs(self, ckpt: Checkpoint, labels, region: str,
+                          at: str, forced: bool):
+        """``placement-war`` and ``placement-idempotence`` from one
+        merged-region fixpoint and one reporting pass over it."""
+        merged = _FunctionWARAnalysis(
+            self.function, self.aa, self.li, True, self.summaries,
+            ignore={id(ckpt)},
+        )
+        merged.run()
+        counting = _CountingReporter(self.aa)
+        # abstract re-execution: the idempotence certifier's capturing
+        # reporter; its diagnostics go to a throwaway engine (a trial
+        # merge only *asks*)
+        capturing = _CapturingReporter(
+            DiagnosticEngine(), self.function, self.aa, labels
+        )
+        try:
+            merged.report(_TrialReporter((counting, capturing),
+                                         stop=not forced))
+        except _FirstFinding:
+            pass
+        return [
+            self._war_subproof(counting, region, at),
+            self._idempotence_subproof(capturing, region, at),
+        ]
+
+    def _war_subproof(self, reporter: _CountingReporter, region: str,
+                      at: str):
         if reporter.findings:
             detail = (
                 f"{len(reporter.findings)} WAR(s) in the merged region: "
@@ -419,14 +470,8 @@ class RedundancyAnalysis:
             )
         return ob
 
-    def _idempotence_subproof(self, merged, labels, region: str, at: str):
-        # abstract re-execution: the idempotence certifier's capturing
-        # reporter over the merged fixpoint; its diagnostics go to a
-        # throwaway engine (a trial merge only *asks*)
-        reporter = _CapturingReporter(
-            DiagnosticEngine(), self.function, self.aa, labels
-        )
-        merged.report(reporter)
+    def _idempotence_subproof(self, reporter: _CapturingReporter,
+                              region: str, at: str):
         clobbered = [
             detail
             for details in reporter.violations.values()

@@ -79,7 +79,12 @@ def promote_memory_to_registers(function) -> int:
     replacements: Dict[int, object] = {}  # id(load) -> value
     dead: List = []
 
-    def rename(block, incoming: Dict[int, object]):
+    # Preorder over the dominator tree with an explicit stack (a deep
+    # CFG would exhaust the recursion limit): children are pushed in
+    # reverse, so they are visited in the same order as a recursive walk.
+    stack = [(function.entry, {})]
+    while stack:
+        block, incoming = stack.pop()
         current = dict(incoming)
         for instr in list(block.instructions):
             if isinstance(instr, Phi) and id(instr) in phi_owner:
@@ -96,10 +101,8 @@ def promote_memory_to_registers(function) -> int:
                 owner = phi_owner.get(id(phi))
                 if owner is not None:
                     phi.set_incoming_for(block, current.get(id(owner), undef))
-        for child in domtree.children(block):
-            rename(child, current)
-
-    rename(function.entry, {})
+        stack.extend((child, current)
+                     for child in reversed(domtree.children(block)))
 
     # Apply load replacements transitively (a load may map to another load).
     def resolve(value):

@@ -48,11 +48,39 @@ def _loopy():
     return m.get_function("main")
 
 
+def _recursive_rpo(function):
+    """The recursive depth-first reverse postorder, as a reference."""
+    visited, order = set(), []
+
+    def dfs(block):
+        visited.add(id(block))
+        for succ in block.successors:
+            if id(succ) not in visited:
+                dfs(succ)
+        order.append(block)
+
+    dfs(function.entry)
+    return list(reversed(order)) + [
+        b for b in function.blocks if id(b) not in visited
+    ]
+
+
 class TestDominators:
     def test_rpo_starts_at_entry(self):
         f = _diamond()
         order = reverse_postorder(f)
         assert order[0] is f.entry
+
+    def test_rpo_matches_recursive_walk_on_the_suite(self):
+        from repro.benchsuite import BENCHMARKS
+
+        for bench in BENCHMARKS.values():
+            module = compile_source(bench.source)
+            for function in module.defined_functions():
+                assert reverse_postorder(function) == _recursive_rpo(function)
+            optimize_module(module)
+            for function in module.defined_functions():
+                assert reverse_postorder(function) == _recursive_rpo(function)
 
     def test_entry_dominates_all(self):
         f = _diamond()

@@ -9,9 +9,13 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.idempotence import CERTIFIED, VIOLATED
+from repro.analysis import AliasAnalysis, loop_info
 from repro.analysis.redundancy import (
     DEFAULT_ELISION_BUDGET,
+    PLACEMENT_IDEMPOTENCE,
+    PLACEMENT_WAR,
     SUBPROOF_KINDS,
+    RedundancyAnalysis,
 )
 from repro.benchsuite import BENCHMARKS, get_benchmark
 from repro.benchsuite.common import run_benchmark
@@ -102,6 +106,75 @@ class TestElisionReport:
         )
         assert second.elided == 0
         assert second.examined >= 1  # surviving candidates re-checked
+
+
+@pytest.fixture(scope="module")
+def sha_trials():
+    """The redundancy oracle of sha's ``sha_transform`` after insertion,
+    before any elision: three of its candidates are redundant and the
+    rest fail on the memory sub-proofs."""
+    config = environment("wario-opt")
+    module = compile_sources([BENCHMARKS["sha"].source], "sha")
+    summaries = run_middle_end(module, replace(config, checkpoint_elim=False))
+    function = module.get_function("sha_transform")
+    aa = AliasAnalysis(function, config.alias_mode,
+                       points_to=summaries.arg_points_to)
+    return RedundancyAnalysis(function, aa, loop_info(function),
+                              summaries=summaries)
+
+
+class TestDecisionContract:
+    """``decide`` evaluates the sub-proofs in certificate order and stops
+    after the first violated one unless forced; the two memory
+    sub-proofs come from one reporting pass."""
+
+    def test_failed_trial_stops_after_the_memory_subproofs(self, sha_trials):
+        failed = [d for d in map(sha_trials.decide, sha_trials.candidates())
+                  if not d.redundant]
+        assert failed
+        for decision in failed:
+            kinds = [o["kind"] for o in decision.subproofs]
+            assert kinds == [PLACEMENT_WAR, PLACEMENT_IDEMPOTENCE]
+            assert all(o["status"] == VIOLATED for o in decision.subproofs)
+            # the pass ended at its first finding
+            assert decision.subproofs[0]["detail"].startswith(
+                "1 WAR(s) in the merged region")
+
+    def test_redundant_and_forced_decisions_carry_all_three(self,
+                                                            sha_trials):
+        candidates = sha_trials.candidates()
+        redundant = [d for d in map(sha_trials.decide, candidates)
+                     if d.redundant]
+        assert redundant
+        for decision in redundant:
+            assert [o["kind"] for o in decision.subproofs] == list(
+                SUBPROOF_KINDS)
+        for ckpt in candidates:
+            forced = sha_trials.decide(ckpt, forced=True)
+            assert forced.forced
+            assert [o["kind"] for o in forced.subproofs] == list(
+                SUBPROOF_KINDS)
+            assert forced.redundant == all(
+                o["status"] == "discharged" for o in forced.subproofs)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_memory_subproofs_share_one_reporting_pass(self, sha_trials,
+                                                       monkeypatch, forced):
+        from repro.analysis import static_war
+
+        calls = []
+        real = static_war._FunctionWARAnalysis.report
+
+        def counting(self, reporter):
+            calls.append(reporter)
+            return real(self, reporter)
+
+        monkeypatch.setattr(static_war._FunctionWARAnalysis, "report",
+                            counting)
+        for ckpt in sha_trials.candidates():
+            del calls[:]
+            sha_trials.decide(ckpt, forced=forced)
+            assert len(calls) == 1
 
 
 class TestDynamicReduction:

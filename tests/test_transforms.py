@@ -5,6 +5,7 @@ import pytest
 
 from helpers import compile_and_run
 
+from repro import Machine, iclang
 from repro.analysis import loop_info
 from repro.frontend import compile_source
 from repro.ir import verify_module
@@ -106,6 +107,39 @@ class TestMem2Reg:
     def test_semantics_preserved(self):
         machine = compile_and_run(self.SRC)
         assert machine.read_global("g") == 1 + sum(range(10))
+
+
+class TestDeepCFG:
+    """A long chain of ``if``s makes a dominator tree hundreds of levels
+    deep: the CFG walks and the mem2reg renaming must not recurse."""
+
+    IFS = 600
+
+    def test_600_sequential_ifs_compile_and_run(self):
+        body = "\n".join(
+            f"    if (x & {1 << (k % 31)}u) x = x + {k}u; "
+            f"else x = x ^ {k * 7 + 1}u;"
+            for k in range(self.IFS)
+        )
+        src = f"""
+        unsigned int seed = 2463534242u;
+        unsigned int result;
+        int main(void) {{
+            unsigned int x = seed;
+        {body}
+            result = x;
+            return 0;
+        }}
+        """
+        x = 2463534242
+        for k in range(self.IFS):
+            if x & (1 << (k % 31)):
+                x = (x + k) & 0xFFFFFFFF
+            else:
+                x ^= k * 7 + 1
+        machine = Machine(iclang(src, "plain", cache=False))
+        machine.run(max_instructions=100_000)
+        assert machine.read_global("result") == x
 
 
 class TestDCE:

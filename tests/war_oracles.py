@@ -15,6 +15,7 @@ from typing import Dict, Hashable, List, Set, Tuple
 from repro.analysis.cfg import reachability
 from repro.analysis.memdep import (
     WARViolation,
+    _Access,
     _classify_pair,
     _is_barrier,
     _resolved_by_barrier_index,
@@ -53,8 +54,9 @@ def scan_wars(function, aa, loop_info, calls_are_checkpoints=True,
         for store in stores:
             sblock, sidx = positions[id(store)]
             war = _classify_pair(
-                load, lblock, lidx, store, sblock, sidx, aa,
-                loop_info.common_loop(lblock, sblock), reach, summaries,
+                _Access(load, lblock, lidx, aa),
+                _Access(store, sblock, sidx, aa),
+                aa, loop_info.common_loop(lblock, sblock), reach, summaries,
             )
             if war is not None and not _resolved_by_barrier_index(
                     war, lblock, lidx, sblock, sidx, barrier_index):
