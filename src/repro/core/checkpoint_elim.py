@@ -13,8 +13,8 @@ analysis (:mod:`repro.analysis.redundancy`) can prove unnecessary:
    the checkpoints that execute most are the first to go;
 2. each candidate's two adjacent regions are abstractly merged and the
    three certification legs (WAR-freedom, idempotence, progress budget)
-   are re-discharged on the merge; only a fully-discharged candidate is
-   elided;
+   are re-discharged on the merge, in that order, stopping at the first
+   that fails; only a fully-discharged candidate is elided;
 3. a fixpoint loop re-runs until no candidate survives.  Every decision
    re-solves against the current (already-elided) IR, and a failed
    candidate is retired permanently: removing a barrier only grows the
