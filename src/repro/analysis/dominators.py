@@ -137,18 +137,22 @@ class PostDominatorTree:
             for succ in block.successors:
                 pred_map[id(succ)].append(block)
 
-        # Reverse postorder on the reversed CFG, rooted at the sink.
+        # Reverse postorder on the reversed CFG, rooted at the sink,
+        # depth-first over an explicit stack of predecessor iterators so
+        # deep CFGs cannot exhaust the recursion limit.
         order: List = []
-        visited: Set[int] = set()
-
-        def dfs(node):
-            visited.add(id(node))
-            for nxt in pred_map[id(node)]:
+        visited: Set[int] = {id(self._sink)}
+        stack = [(self._sink, iter(pred_map[id(self._sink)]))]
+        while stack:
+            node, preds = stack[-1]
+            for nxt in preds:
                 if id(nxt) not in visited:
-                    dfs(nxt)
-            order.append(node)
-
-        dfs(self._sink)
+                    visited.add(id(nxt))
+                    stack.append((nxt, iter(pred_map[id(nxt)])))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         rpo = list(reversed(order))
         idom = _chk_idoms(rpo, self._sink, lambda n: succ_map.get(id(n), []))
         self._idom = idom

@@ -455,18 +455,22 @@ def _mir_loops(mfn) -> Tuple[Dict[str, _MLoop], Dict[str, List[str]]]:
             preds[name].append(block.name)
     entry_block = mfn.blocks[0]
 
-    # Reverse postorder from the entry (unreachable blocks excluded).
+    # Reverse postorder from the entry (unreachable blocks excluded),
+    # depth-first over an explicit stack of successor iterators so deep
+    # CFGs cannot exhaust the recursion limit.
     rpo: List = []
-    visited = set()
-
-    def dfs(block):
-        visited.add(block.name)
-        for name in succs[block.name]:
+    visited = {entry_block.name}
+    stack = [(entry_block, iter(succs[entry_block.name]))]
+    while stack:
+        block, successors = stack[-1]
+        for name in successors:
             if name not in visited:
-                dfs(by_name[name])
-        rpo.append(block)
-
-    dfs(entry_block)
+                visited.add(name)
+                stack.append((by_name[name], iter(succs[name])))
+                break
+        else:
+            stack.pop()
+            rpo.append(block)
     rpo.reverse()
     rpo_index = {block.name: i for i, block in enumerate(rpo)}
     idom = _chk_idoms(

@@ -14,10 +14,13 @@ diff:
   count per cell;
 * **eval** — wall-clock seconds of a full figure regeneration in a
   subprocess, cold (empty cache directory) then warm (same directory),
-  plus the resulting speedup.
+  plus the resulting speedup;
+* **campaign** — fault-injection throughput: cells, wall seconds and
+  cells per second of the quick campaign (``inject --quick``) at
+  ``jobs=1`` with the cache off, its programs compiled beforehand.
 
-``--quick`` shrinks every axis for CI smoke runs (one benchmark, two
-environments, Figure 4 only).
+``--quick`` shrinks every axis but the campaign for CI smoke runs (one
+benchmark, two environments, Figure 4 only).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .benchsuite import BENCHMARKS, clear_program_memo, compile_benchmark
 from .core import iclang
 from .emulator import Machine
 from .eval.runner import default_jobs
+from .faultinject import quick_config, run_campaign
 
 FULL_COMPILE_ENVS = ("plain", "ratchet", "wario", "wario-expander")
 QUICK_COMPILE_ENVS = ("plain", "wario")
@@ -172,6 +176,26 @@ def bench_eval(quick: bool = False) -> Dict[str, object]:
     }
 
 
+def bench_campaign() -> Dict[str, object]:
+    """Cells per second of the quick fault-injection campaign, serial and
+    uncached, with its programs compiled before the clock starts."""
+    config = quick_config(jobs=1)
+    for name in config.benches:
+        for env in config.envs:
+            compile_benchmark(BENCHMARKS[name], env, cache=False)
+    start = time.perf_counter()
+    report = run_campaign(config, cache=False)
+    elapsed = time.perf_counter() - start
+    return {
+        "benches": list(config.benches),
+        "envs": list(config.envs),
+        "cells": report.cells,
+        "certified": report.certified,
+        "seconds": round(elapsed, 3),
+        "cells_per_sec": round(report.cells / elapsed, 1),
+    }
+
+
 def run_bench(quick: bool = False, output: Optional[str] = None) -> str:
     """Run every measurement and write the JSON report.  Returns the
     output path."""
@@ -187,6 +211,7 @@ def run_bench(quick: bool = False, output: Optional[str] = None) -> str:
         "emulation": bench_emulation(quick=quick),
         "elision": bench_elision(quick=quick),
         "eval": bench_eval(quick=quick),
+        "campaign": bench_campaign(),
     }
     path = output or f"BENCH_{report['revision']}.json"
     with open(path, "w") as handle:
@@ -226,10 +251,18 @@ def render_report(path: str) -> str:
         f"eval ({'+'.join(ev['experiments'])}): cold {ev['cold_seconds']}s, "
         f"warm {ev['warm_seconds']}s ({ev['speedup']}x)"
     )
+    campaign = report.get("campaign")
+    if campaign is not None:
+        lines.append(
+            f"inject ({'+'.join(campaign['benches'])} x "
+            f"{','.join(campaign['envs'])}): {campaign['cells']} cells in "
+            f"{campaign['seconds']}s ({campaign['cells_per_sec']} cells/s)"
+        )
     return "\n".join(lines)
 
 
 __all__ = [
-    "bench_compile", "bench_elision", "bench_emulation", "bench_eval",
+    "bench_campaign", "bench_compile", "bench_elision", "bench_emulation",
+    "bench_eval",
     "render_report", "run_bench",
 ]

@@ -63,6 +63,13 @@ class EventTrace:
         #: armed until the first store of the current idempotent region
         self._war_armed = True
 
+    def copy(self) -> "EventTrace":
+        """An independent copy of the events recorded so far."""
+        twin = EventTrace()
+        twin.events = list(self.events)
+        twin._war_armed = self._war_armed
+        return twin
+
     # -- hooks (called by Machine) ---------------------------------------
     def record(self, kind: str, cycle: int, pc: int, detail: str = "") -> None:
         self.events.append(Event(kind, cycle, pc, detail))

@@ -13,6 +13,7 @@ checker), and verifies the absence of WAR violations on every access.
 
 from __future__ import annotations
 
+import copy
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -306,6 +307,39 @@ class Machine:
         self._ckpt_active = (dict(self.regs), self.pc, self.last_cmp)
         self._halt_sentinel = HALT_ADDRESS & M32
         self._failures_since_checkpoint = 0
+        #: cycles spent in the current power-on period, kept across a
+        #: paused or stopped run so that the next :meth:`run` resumes it
+        self._period_used = 0
+
+    def fork(self) -> "Machine":
+        """An independent copy of this machine, to be resumed on its own.
+
+        Memory, registers, statistics, the WAR checker and the event
+        trace are copied; the program, its decoded stream and the
+        immutable checkpoint snapshots are shared."""
+        twin = copy.copy(self)
+        twin.memory = bytearray(self.memory)
+        twin.regs = dict(self.regs)
+        twin.stats = self.stats.copy()
+        if self.war is not None:
+            twin.war = self.war.copy()
+        if self._trace is not None:
+            twin._trace = self._trace.copy()
+        return twin
+
+    def same_state(self, other: "Machine") -> bool:
+        """True when both machines hold equal memory, registers, pc,
+        condition flags, interrupt enable/pending state and active
+        checkpoint buffer: from here on they execute alike."""
+        return (
+            self.pc == other.pc
+            and self.regs == other.regs
+            and self.last_cmp == other.last_cmp
+            and self.interrupts_enabled == other.interrupts_enabled
+            and self.pending_interrupt == other.pending_interrupt
+            and self._ckpt_active == other._ckpt_active
+            and self.memory == other.memory
+        )
 
     # -- memory -----------------------------------------------------------
     def _resolve(self, base, offset) -> int:
@@ -414,22 +448,55 @@ class Machine:
         self,
         power: Optional[PowerSupply] = None,
         max_instructions: int = 100_000_000,
+        pause_before_failure: bool = False,
+        stop_after_commits: Optional[int] = None,
     ) -> ExecutionStats:
+        """Execute until halt and return the (cumulative) statistics.
+
+        ``pause_before_failure`` returns instead of failing when the
+        supply's next power failure is due; ``stop_after_commits``
+        returns right after the checkpoint instruction whose commit
+        brings ``stats.checkpoints`` to that count.  Either way the
+        machine (or a :meth:`fork` of it) can be run again: given the
+        same supply, the runs together equal one uninterrupted run, and
+        given no supply the rest runs under continuous power.  A resumed
+        run re-creates the supply's iterator and skips the periods that
+        ``stats.power_failures`` says are spent, so the supply must be
+        deterministic.
+        """
         if self.fast_interp:
-            return self._run_decoded(power, max_instructions)
-        return self._run_reference(power, max_instructions)
+            return self._run_decoded(power, max_instructions,
+                                     pause_before_failure, stop_after_commits)
+        return self._run_reference(power, max_instructions,
+                                   pause_before_failure, stop_after_commits)
+
+    def _power_periods(self, power: Optional[PowerSupply]):
+        """``(iterator, current budget)`` of a supply, advanced past the
+        periods already spent; ``(None, None)`` under continuous power."""
+        if power is None or power.is_continuous:
+            return None, None
+        on_iter = power.on_durations()
+        budget = next(on_iter)
+        for _ in range(self.stats.power_failures):
+            budget = next(on_iter)
+        return on_iter, budget
 
     def _run_decoded(
         self,
         power: Optional[PowerSupply],
         max_instructions: int,
+        pause_before_failure: bool = False,
+        stop_after_commits: Optional[int] = None,
     ) -> ExecutionStats:
         """The fast path: interpret the predecoded stream.
 
         Byte-for-byte equivalent to :meth:`_run_reference` in every
         observable (``ExecutionStats``, memory, registers, WAR checking,
         interrupts, JIT checkpoints); hot state lives in locals and is
-        synchronised with the instance on every slow-path event.
+        synchronised with the instance on every slow-path event.  A stop
+        lowers ``max_instructions`` to the current count, so it takes
+        effect at the top of the next iteration through the existing
+        limit test, after the checkpoint instruction has completed.
         """
         decoded = self._decoded
         costs = self.costs
@@ -453,15 +520,12 @@ class Machine:
         next_interrupt = self._next_interrupt
         checkpoint_cycles = costs.checkpoint_cycles
 
-        on_iter = None
-        budget = None
-        if power is not None and not power.is_continuous:
-            on_iter = power.on_durations()
-            budget = next(on_iter)
-            if jit_enabled and budget <= jit_threshold:
-                jit_fired = True  # collapsed before the comparator
-                self._jit_fired = True
-        period_used = 0
+        on_iter, budget = self._power_periods(power)
+        if jit_enabled and budget is not None and budget <= jit_threshold:
+            jit_fired = True  # collapsed before the comparator
+            self._jit_fired = True
+        period_used = self._period_used
+        stopping = False
 
         addr = 0
         try:
@@ -473,6 +537,9 @@ class Machine:
                     self.last_cmp = (cmp_a, cmp_b)
                     self.region_cycles = region_cycles
                     self._next_interrupt = next_interrupt
+                    self._period_used = period_used
+                    if stopping:
+                        return stats
                     raise EmulationLimit(
                         f"exceeded {max_instructions} instructions "
                         f"({stats.summary()})"
@@ -481,6 +548,15 @@ class Machine:
                 cost = d[1]
 
                 if budget is not None and period_used + cost > budget:
+                    if pause_before_failure:
+                        stats.instructions = icount
+                        stats.cycles = cycles
+                        self.pc = pc
+                        self.last_cmp = (cmp_a, cmp_b)
+                        self.region_cycles = region_cycles
+                        self._next_interrupt = next_interrupt
+                        self._period_used = period_used
+                        return stats
                     # ---- power failure -----------------------------------
                     stats.instructions = icount
                     stats.cycles = cycles
@@ -684,6 +760,9 @@ class Machine:
                     stats.cycles = cycles
                     self._take_checkpoint(d[2])
                     region_cycles = 0
+                    if stats.checkpoints == stop_after_commits:
+                        stopping = True
+                        max_instructions = icount
                 elif k == K_DIV:
                     a = d[4] if d[3] else regs[d[4]]
                     b = d[6] if d[5] else regs[d[6]]
@@ -838,26 +917,29 @@ class Machine:
         self,
         power: Optional[PowerSupply],
         max_instructions: int,
+        pause_before_failure: bool = False,
+        stop_after_commits: Optional[int] = None,
     ) -> ExecutionStats:
         instrs = self.program.instrs
         costs = self.costs
         stats = self.stats
         regs = self.regs
 
-        on_iter = None
-        budget = None
-        if power is not None and not power.is_continuous:
-            on_iter = power.on_durations()
-            budget = next(on_iter)
-            if (
-                self.jit_checkpoint_threshold is not None
-                and budget <= self.jit_checkpoint_threshold
-            ):
-                self._jit_fired = True  # collapsed before the comparator
-        period_used = 0
+        on_iter, budget = self._power_periods(power)
+        if (
+            self.jit_checkpoint_threshold is not None
+            and budget is not None
+            and budget <= self.jit_checkpoint_threshold
+        ):
+            self._jit_fired = True  # collapsed before the comparator
+        period_used = self._period_used
+        stopping = False
 
         while True:
             if stats.instructions >= max_instructions:
+                self._period_used = period_used
+                if stopping:
+                    return stats
                 raise EmulationLimit(
                     f"exceeded {max_instructions} instructions "
                     f"({stats.summary()})"
@@ -866,6 +948,9 @@ class Machine:
             cost = costs.cost_of(instr)
 
             if budget is not None and period_used + cost > budget:
+                if pause_before_failure:
+                    self._period_used = period_used
+                    return stats
                 # ---- power failure ---------------------------------------
                 stats.power_failures += 1
                 stats.reexecuted_cycles += self.region_cycles
@@ -997,6 +1082,9 @@ class Machine:
                 regs[instr.dst.phys] = self._val(ops[0]) & 0xFFFF
             elif op == "checkpoint":
                 self._take_checkpoint(instr.cause)
+                if stats.checkpoints == stop_after_commits:
+                    stopping = True
+                    max_instructions = stats.instructions
             elif op == "cpsid":
                 self.interrupts_enabled = False
                 if self._trace is not None:

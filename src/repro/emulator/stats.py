@@ -4,7 +4,7 @@ sizes, and power-failure/re-execution accounting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 
@@ -24,6 +24,15 @@ class ExecutionStats:
     #: cycles of the trailing partial region (last checkpoint → halt);
     #: not in ``region_sizes``, which only records committed checkpoints
     final_region_cycles: int = 0
+
+    def copy(self) -> "ExecutionStats":
+        """An independent copy (the containers are copied too)."""
+        return replace(
+            self,
+            checkpoint_causes=dict(self.checkpoint_causes),
+            region_sizes=list(self.region_sizes),
+            call_counts=dict(self.call_counts),
+        )
 
     def record_checkpoint(self, cause: str, region_cycles: int) -> None:
         self.checkpoints += 1

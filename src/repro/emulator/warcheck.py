@@ -68,6 +68,15 @@ class WARChecker:
         self.region_index = 0
         self.record_all = record_all
 
+    def copy(self) -> "WARChecker":
+        """An independent copy of the checker's region state and
+        findings."""
+        twin = WARChecker(self.record_all)
+        twin._first = dict(self._first)
+        twin.violations = list(self.violations)
+        twin.region_index = self.region_index
+        return twin
+
     def on_read(self, address: int, size: int) -> None:
         first = self._first
         for a in range(address, address + size):

@@ -1,17 +1,23 @@
 """Emulator tests: WAR checker, power failures, checkpoint restore,
 interrupts, cycle accounting, and emulation limits."""
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import compile_and_run
 
 from repro import FixedPeriodPower, Machine, iclang, trace_a, trace_b
+from repro.benchsuite import BENCHMARKS, compile_benchmark
+from repro.core.pipeline import ENVIRONMENTS
 from repro.emulator import (
     DEFAULT_COSTS,
     ContinuousPower,
     CostModel,
     EmulationLimit,
+    EventTrace,
     NoForwardProgress,
+    SchedulePower,
     WARChecker,
 )
 
@@ -263,3 +269,81 @@ class TestInterrupts:
         stats = machine.run()
         assert machine.war.clean
         assert stats.interrupts > 0
+
+
+class TestPauseStopFork:
+    """Pausing before a power failure, stopping after a commit and
+    forking: split runs must equal one uninterrupted run."""
+
+    #: distinct periods, so a resume that skipped the wrong number of
+    #: spent periods would show (crc's first region is about 10.8k cycles)
+    POWER = SchedulePower((11_500, 4_000, 3_000, 5_000))
+    LIMIT = 1_000_000
+
+    @staticmethod
+    def program(env):
+        if env == "mutant":  # a dropped checkpoint: dynamic WAR violations
+            env = replace(ENVIRONMENTS["wario"], name="wario-mutant",
+                          drop_checkpoint=0)
+        return compile_benchmark(BENCHMARKS["crc"], env, None, cache=False)
+
+    @staticmethod
+    def state(machine):
+        return (machine.stats.copy(), bytes(machine.memory),
+                dict(machine.regs), machine.pc, list(machine.war.violations))
+
+    def whole(self, program, power, fast_interp=True):
+        machine = Machine(program, fast_interp=fast_interp)
+        machine.run(power, self.LIMIT)
+        return self.state(machine)
+
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    @pytest.mark.parametrize("env", ["wario", "mutant"])
+    def test_pause_then_resume_equals_one_run(self, env, fast_interp):
+        program = self.program(env)
+        split = Machine(program, fast_interp=fast_interp)
+        stats = split.run(self.POWER, self.LIMIT, pause_before_failure=True)
+        assert not stats.halted and stats.power_failures == 0
+        split.run(self.POWER, self.LIMIT,
+                  stop_after_commits=stats.checkpoints + 2)
+        failures = stats.power_failures
+        assert failures >= 1 and not stats.halted
+        split.run(self.POWER, self.LIMIT, pause_before_failure=True)
+        assert stats.power_failures == failures and not stats.halted
+        split.run(self.POWER, self.LIMIT)
+        assert stats.halted and stats.power_failures == 4
+        whole = self.whole(program, self.POWER, fast_interp)
+        assert self.state(split) == whole
+        if env == "mutant":
+            assert whole[-1]                   # the violations were compared
+
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    @pytest.mark.parametrize("env", ["wario", "mutant"])
+    def test_stop_then_resume_equals_one_run(self, env, fast_interp):
+        program = self.program(env)
+        split = Machine(program, fast_interp=fast_interp)
+        for commits in (1, 3):
+            stats = split.run(None, self.LIMIT, stop_after_commits=commits)
+            assert stats.checkpoints == commits and not stats.halted
+            assert program.instrs[split.pc - 1].opcode == "checkpoint"
+        split.run(None, self.LIMIT)
+        assert self.state(split) == self.whole(program, None, fast_interp)
+
+    @pytest.mark.parametrize("env", ["wario", "mutant"])
+    def test_a_fork_runs_apart_from_its_parent(self, env):
+        program = self.program(env)
+        parent = Machine(program, trace=EventTrace())
+        parent.run(self.POWER, self.LIMIT, pause_before_failure=True)
+        before = self.state(parent), parent._trace.as_tuples()
+        child = parent.fork()
+        assert child.same_state(parent)
+        child.run(self.POWER, self.LIMIT)
+        assert not child.same_state(parent)
+        assert (self.state(parent), parent._trace.as_tuples()) == before
+        trace = EventTrace()
+        whole = Machine(program, trace=trace)
+        whole.run(self.POWER, self.LIMIT)
+        whole = self.state(whole), trace.as_tuples()
+        assert (self.state(child), child._trace.as_tuples()) == whole
+        parent.run(self.POWER, self.LIMIT)
+        assert (self.state(parent), parent._trace.as_tuples()) == whole

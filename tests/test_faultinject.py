@@ -27,6 +27,7 @@ from repro.faultinject import (
     plan_schedules,
     run_campaign,
 )
+from repro.faultinject import campaign
 from repro.faultinject.campaign import _execute_oracle, _execute_schedule
 
 
@@ -273,7 +274,18 @@ def test_drop_checkpoint_rejects_out_of_range_index():
         compile_benchmark(BENCHMARKS["crc"], env, None, cache=False)
 
 
-def test_campaign_catches_and_shrinks_a_dropped_checkpoint():
+@pytest.fixture
+def full_replays_only(monkeypatch):
+    """Fail the test if any cell is fast-forwarded."""
+    def refuse(*args):
+        raise AssertionError("this cell must be replayed to halt")
+
+    monkeypatch.setattr(campaign, "_fast_forward", refuse)
+
+
+def test_campaign_catches_and_shrinks_a_dropped_checkpoint(full_replays_only):
+    # a WAR-dirty oracle: every cell, shrink candidates included, is
+    # replayed to halt
     env = _mutant_env()
     oracle = _execute_oracle("crc", env, cache=False)
     # the dynamic checker already sees the bug under continuous power ...
@@ -304,3 +316,68 @@ def test_campaign_catches_and_shrinks_a_dropped_checkpoint():
     assert len(diags) == len(findings)
     assert all(d.level == "campaign" and d.code == "inject-divergent-memory"
                for d in diags)
+
+
+# ---------------------------------------------------------------------------
+# Fast-forwarded replays
+# ---------------------------------------------------------------------------
+
+
+_FAST_FORWARD_PAIRS = [
+    (bench, env) for bench in ("crc", "sha")
+    for env in ("wario", "ratchet", "wario-opt", "ratchet-opt")
+] + [("tiny-aes", "wario-opt")]
+
+
+@pytest.mark.parametrize("bench,env", _FAST_FORWARD_PAIRS)
+def test_fast_forward_equals_the_full_replay(bench, env, monkeypatch):
+    rejoined = []
+    fast_forward = campaign._fast_forward
+
+    def counting(*args):
+        outcome = fast_forward(*args)
+        rejoined.append(outcome is not None)
+        return outcome
+
+    monkeypatch.setattr(campaign, "_fast_forward", counting)
+    oracle = _execute_oracle(bench, env, cache=False)
+    plan = plan_schedules(
+        oracle.events, oracle.cycles, DEFAULT_COSTS,
+        PlanConfig(event_cap=2, interior_points=2, post_restore=1),
+    )
+    for schedule in plan:
+        fast = _execute_schedule(bench, env, schedule, cache=False,
+                                 oracle=oracle.totals)
+        assert fast == _execute_schedule(bench, env, schedule,
+                                         cache=False), schedule
+    # every planned replay of these WAR-free builds rejoined the
+    # continuous run, so the comparison above covered the shortcut
+    assert rejoined == [True] * len(plan)
+
+
+def test_interrupt_load_replays_every_cell_to_halt(full_replays_only):
+    config = CampaignConfig(benches=("crc",), envs=("wario",),
+                            interrupt_interval=733, **_QUICK)
+    report = run_campaign(config, cache=False)
+    assert report.certified
+    assert report.cells > 10
+
+
+def test_fast_forward_falls_back_unless_the_replay_provably_rejoins(
+        monkeypatch):
+    bench = BENCHMARKS["crc"]
+    program = compile_benchmark(bench, "wario", None, cache=False)
+    oracle = _execute_oracle("crc", "wario", cache=False)
+    schedule = (oracle.cycles // 2,)
+    full = _execute_schedule("crc", "wario", schedule, cache=False)
+    assert campaign._fast_forward(bench, program, schedule,
+                                  oracle.totals) == full
+    # a spliced total at the instruction limit
+    at_limit = oracle.totals._replace(instructions=bench.max_instructions)
+    assert campaign._fast_forward(bench, program, schedule, at_limit) is None
+    # machines that never reach the same state
+    monkeypatch.setattr(Machine, "same_state", lambda self, other: False)
+    assert campaign._fast_forward(bench, program, schedule,
+                                  oracle.totals) is None
+    assert _execute_schedule("crc", "wario", schedule, cache=False,
+                             oracle=oracle.totals) == full

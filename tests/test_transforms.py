@@ -1,12 +1,16 @@
 """Transform tests: mem2reg, DCE, simplify-cfg, inlining, critical edges,
 and the single-block loop unroller."""
 
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from helpers import compile_and_run
 
 from repro import Machine, iclang
-from repro.analysis import loop_info
+from repro.analysis import loop_info, post_dominator_tree
+from repro.core import lint_sources
 from repro.frontend import compile_source
 from repro.ir import verify_module
 from repro.ir.instructions import Alloca, Call, Load, Phi, Store
@@ -109,19 +113,37 @@ class TestMem2Reg:
         assert machine.read_global("g") == 1 + sum(range(10))
 
 
+@contextmanager
+def _recursion_headroom(frames):
+    """Lower the recursion limit to ``frames`` above the caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 class TestDeepCFG:
     """A long chain of ``if``s makes a dominator tree hundreds of levels
     deep: the CFG walks and the mem2reg renaming must not recurse."""
 
     IFS = 600
+    #: a shorter chain for the walks run under a lowered recursion limit:
+    #: a recursive walk would need a few frames per ``if``
+    SHORT_IFS = 150
 
-    def test_600_sequential_ifs_compile_and_run(self):
+    @staticmethod
+    def chain(ifs):
         body = "\n".join(
             f"    if (x & {1 << (k % 31)}u) x = x + {k}u; "
             f"else x = x ^ {k * 7 + 1}u;"
-            for k in range(self.IFS)
+            for k in range(ifs)
         )
-        src = f"""
+        return f"""
         unsigned int seed = 2463534242u;
         unsigned int result;
         int main(void) {{
@@ -131,15 +153,32 @@ class TestDeepCFG:
             return 0;
         }}
         """
+
+    def test_600_sequential_ifs_compile_and_run(self):
         x = 2463534242
         for k in range(self.IFS):
             if x & (1 << (k % 31)):
                 x = (x + k) & 0xFFFFFFFF
             else:
                 x ^= k * 7 + 1
-        machine = Machine(iclang(src, "plain", cache=False))
+        machine = Machine(iclang(self.chain(self.IFS), "plain", cache=False))
         machine.run(max_instructions=100_000)
         assert machine.read_global("result") == x
+
+    @pytest.mark.parametrize("env", ["wario", "ratchet"])
+    def test_full_lint_certifies_a_deep_chain(self, env):
+        source = self.chain(self.SHORT_IFS)
+        with _recursion_headroom(120):
+            result = lint_sources(source, env, name="deep", cache=False,
+                                  level="full")
+        assert result.certified
+
+    def test_post_dominators_of_a_deep_chain(self):
+        function = compile_source(self.chain(self.SHORT_IFS)).main
+        with _recursion_headroom(60):
+            pdt = post_dominator_tree(function)
+        (exit_block,) = [b for b in function.blocks if not b.successors]
+        assert all(pdt.post_dominates(exit_block, b) for b in function.blocks)
 
 
 class TestDCE:
