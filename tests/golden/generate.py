@@ -32,11 +32,25 @@ sub-proofs of force-elided checkpoints.  It was produced before the
 elision trials learned to stop at the first violated sub-proof;
 ``tests/test_elision_golden.py`` recompiles every cell and diffs it.
 
+``manifest.json`` pins what each compile produces and does, cell by
+cell (:func:`manifest_row`): the sha256 of the program image, its code
+bytes and elision count, the executed checkpoints, cycles, halt and WAR
+verdict of a WAR-checked continuous-power run, and the sha256 of the
+full-level lint verdict with its certificates.  Its ``grid`` section
+(:data:`MANIFEST_ENVS`) is recomputed by ``tests/test_manifest_golden.py``;
+its ``wide`` section (:func:`wide_cells`) only by ``--check``.
+
 Only regenerate a fixture when a *deliberate* change lands (new code,
 reworded message, a placement rule); never to paper over a parity
-failure.
+failure.  To check instead of write::
+
+    PYTHONPATH=src:tests python tests/golden/generate.py --check [FIXTURE ...]
+
+regenerates the fixtures in memory, names every entry that differs from
+the committed file, and exits 1 if any does.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -46,8 +60,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 from dataclasses import replace
 
 from repro.benchsuite import BENCHMARKS, get_benchmark
-from repro.core import ENVIRONMENTS, run_middle_end
-from repro.core.lint import lint_module, strip_checkpoints
+from repro.core import ENVIRONMENTS, iclang, run_middle_end
+from repro.core.lint import (
+    diagnostics_json,
+    lint_module,
+    lint_sources,
+    strip_checkpoints,
+)
 from repro.frontend import compile_sources
 from repro.ir import verify_module
 
@@ -236,17 +255,142 @@ def generate_elisions():
     }
 
 
+#: the environments of the manifest's tier-1 grid: no instrumentation,
+#: both alias precisions, the relaxed call model and elision on top
+MANIFEST_ENVS = ("plain", "ratchet", "wario", "wario-summaries",
+                 "wario-opt", "ratchet-opt")
+
+#: the programs of every manifest cell
+MANIFEST_PROGRAMS = tuple(sorted(BENCHMARKS)) + ("xcall",)
+
+
+def grid_cells():
+    """``(key, program, config)`` of the manifest's tier-1 grid."""
+    for bench in MANIFEST_PROGRAMS:
+        for env in MANIFEST_ENVS:
+            yield f"{bench}/{env}", get_benchmark(bench), ENVIRONMENTS[env]
+
+
+def wide_cells():
+    """``(key, program, config)`` of the cells only ``--check`` recomputes:
+    the environments the grid leaves out, ``wario`` at unroll 4 and 12,
+    and the forced cells of ``elisions.json``."""
+    for bench in MANIFEST_PROGRAMS:
+        for env in ENVIRONMENTS:
+            if env not in MANIFEST_ENVS:
+                yield f"{bench}/{env}", get_benchmark(bench), ENVIRONMENTS[env]
+        for unroll in (4, 12):
+            config = replace(ENVIRONMENTS["wario"], unroll_factor=unroll)
+            yield f"{bench}/wario+unroll={unroll}", get_benchmark(bench), config
+    for env, bench, index in FORCED_ELISIONS:
+        config = replace(ENVIRONMENTS[env], force_unsafe_elision=index)
+        yield f"{bench}/{env}+force={index}", get_benchmark(bench), config
+
+
+def program_digest(program):
+    """sha256 over the listing, initial memory and symbol layout."""
+    from repro.backend.disasm import disassemble
+
+    digest = hashlib.sha256(disassemble(program).encode())
+    digest.update(program.initial_memory)
+    digest.update(json.dumps([sorted(program.func_entry.items()),
+                              sorted(program.global_addr.items())]).encode())
+    return digest.hexdigest()
+
+
+def verdict_digest(result):
+    """sha256 over a lint verdict: diagnostics as JSON and SARIF, and the
+    idempotence, progress and placement certificates."""
+    from repro.diagnostics import render_sarif
+
+    payload = json.dumps({
+        "certified": result.certified,
+        "diagnostics": diagnostics_json([result]),
+        "sarif": render_sarif(result.engine.diagnostics),
+        "certificates": result.certificates,
+        "progress": result.progress,
+        "placement": result.placement,
+    }, sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def manifest_row(program, config):
+    """One manifest row: the program and full-level verdict of one
+    compile, and a WAR-checked continuous-power run of that program."""
+    from repro.emulator import Machine
+
+    image = iclang(program.source, config, name=program.name, cache=False)
+    verdict = lint_sources(program.source, config, name=program.name,
+                           cache=False, level="full")
+    machine = Machine(image, war_check=True)
+    stats = machine.run(max_instructions=program.max_instructions)
+    return {
+        "program": program_digest(image),
+        "text_size": image.text_size,
+        "elisions": image.elisions,
+        "checkpoints": stats.checkpoints,
+        "cycles": stats.cycles,
+        "halted": stats.halted,
+        "war_clean": machine.war.clean,
+        "verdict": verdict_digest(verdict),
+    }
+
+
+def generate_manifest():
+    return {
+        section: {key: manifest_row(program, config)
+                  for key, program, config in cells()}
+        for section, cells in (("grid", grid_cells), ("wide", wide_cells))
+    }
+
+
 FIXTURES = {
     "war_diagnostics.json": generate,
     "placements.json": generate_placements,
     "elisions.json": generate_elisions,
+    "manifest.json": generate_manifest,
 }
 
 
-if __name__ == "__main__":
-    for name in sys.argv[1:] or sorted(FIXTURES):
+def differing_entries(committed, fresh, path=""):
+    """The paths of every entry where ``fresh`` differs from ``committed``,
+    descending through nested objects."""
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        found = []
+        for key in sorted(set(committed) | set(fresh)):
+            found += differing_entries(committed.get(key), fresh.get(key),
+                                       f"{path}/{key}" if path else key)
+        return found
+    return [] if committed == fresh else [path]
+
+
+def main(argv):
+    check = "--check" in argv
+    names = [arg for arg in argv if arg != "--check"] or sorted(FIXTURES)
+    unknown = sorted(set(names) - set(FIXTURES))
+    if unknown:
+        print(f"unknown fixture(s) {unknown}; choose from {sorted(FIXTURES)}")
+        return 2
+    failed = False
+    for name in names:
         path = os.path.join(os.path.dirname(__file__), name)
-        with open(path, "w") as handle:
-            json.dump(FIXTURES[name](), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {path}")
+        fresh = FIXTURES[name]()
+        if not check:
+            with open(path, "w") as handle:
+                json.dump(fresh, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            print(f"wrote {path}")
+            continue
+        with open(path) as handle:
+            committed = json.load(handle)
+        # a JSON round trip, so tuples compare equal to committed lists
+        diffs = differing_entries(committed, json.loads(json.dumps(fresh)))
+        for entry in diffs:
+            print(f"{name}: {entry} differs")
+        print(f"{name}: {'FAILED' if diffs else 'ok'}")
+        failed = failed or bool(diffs)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
