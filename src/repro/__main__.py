@@ -17,7 +17,8 @@ Usage::
 
 ``compile`` prints (or writes) a disassembly listing plus size/static
 statistics; ``run`` executes on the emulator and reports execution
-statistics; ``lint`` statically certifies WAR-freedom (exit 0 clean,
+statistics (both exit 2 when the program fails to compile, as ``lint``
+does); ``lint`` statically certifies WAR-freedom (exit 0 clean,
 1 diagnostics of severity error, 2 compile failure); ``analyze`` dumps
 the interprocedural points-to sets, mod/ref summaries and every
 precision-loss cause; ``inject`` runs the deterministic power-failure
@@ -271,10 +272,23 @@ def _read_sources(paths):
     return sources
 
 
+def _compile(verb, args):
+    """The program ``args`` names, or ``None`` once the compile failure
+    is reported the way ``lint`` reports it."""
+    try:
+        return iclang(_read_sources(args.sources), args.env,
+                      unroll_factor=args.unroll)
+    except Exception as exc:  # front/middle end rejected the program
+        print(f"{verb}: compilation failed: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_compile(args) -> int:
     from .backend.disasm import render_compile_listing
 
-    program = iclang(_read_sources(args.sources), args.env, unroll_factor=args.unroll)
+    program = _compile("compile", args)
+    if program is None:
+        return EXIT_COMPILE_FAILED
     checkpoints = sum(1 for i in program.instrs if i.opcode == "checkpoint")
     # shared renderer: the server's ``compile`` listing must be
     # byte-identical to this output (tests/test_serve_parity.py)
@@ -290,7 +304,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    program = iclang(_read_sources(args.sources), args.env, unroll_factor=args.unroll)
+    program = _compile("run", args)
+    if program is None:
+        return EXIT_COMPILE_FAILED
     machine = Machine(
         program,
         war_check=args.verify_war,

@@ -31,11 +31,7 @@ from .redundancy import (
     ElisionDecision,
     RedundancyAnalysis,
 )
-from .static_war import (
-    StaticWARError,
-    verify_function_war,
-    verify_module_war,
-)
+from .static_war import verify_function_war, verify_module_war
 from .summaries import (
     AndersenPointsTo,
     FunctionSummary,
@@ -55,5 +51,5 @@ __all__ = [
     "MAX_GEP_DEPTH", "TopCause", "compute_points_to", "report_top_causes",
     "AndersenPointsTo", "FunctionSummary", "SummaryTable", "compute_summaries",
     "DEFAULT_ELISION_BUDGET", "ElisionDecision", "RedundancyAnalysis",
-    "StaticWARError", "verify_function_war", "verify_module_war",
+    "verify_function_war", "verify_module_war",
 ]

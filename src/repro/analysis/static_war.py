@@ -69,18 +69,6 @@ from .loops import LoopInfo, loop_info
 from .memdep import BACKWARD, FORWARD, access_size, summary_sets_intersect
 
 
-class StaticWARError(Exception):
-    """Raised by ``verify_static`` pipelines when a module fails static
-    WAR verification.  Carries the collecting engine."""
-
-    def __init__(self, engine: DiagnosticEngine):
-        self.engine = engine
-        super().__init__(
-            f"static WAR verification failed: {engine.summary()}\n"
-            + engine.render_text()
-        )
-
-
 # ---------------------------------------------------------------------------
 # CFG helpers
 # ---------------------------------------------------------------------------
@@ -523,7 +511,6 @@ def verify_module_war(
 
 __all__ = [
     "FW", "BK",
-    "StaticWARError",
     "describe_access", "retreating_edges", "region_labels",
     "verify_function_war", "verify_module_war",
 ]

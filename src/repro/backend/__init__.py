@@ -108,25 +108,8 @@ def lower_module(
     return mmodule
 
 
-def compile_to_program(
-    ir_module,
-    spill_checkpoint_mode: Optional[str] = None,
-    epilogue_style: str = "plain",
-    entry_checkpoints: bool = False,
-    verify: bool = False,
-    transparent=None,
-    epilogue_bug: Optional[str] = None,
-) -> Program:
-    """Lower and encode an IR module into an executable image."""
-    mmodule = lower_module(
-        ir_module, spill_checkpoint_mode, epilogue_style, entry_checkpoints,
-        verify=verify, transparent=transparent, epilogue_bug=epilogue_bug,
-    )
-    return encode_module(mmodule)
-
-
 __all__ = [
-    "lower_module", "compile_to_program",
+    "lower_module",
     "InstructionSelector", "allocate_registers", "lower_frame",
     "insert_spill_checkpoints", "find_spill_wars",
     "verify_mfunction", "MIRVerificationError",

@@ -14,7 +14,7 @@ Key structure (one hash per artifact kind):
 
 * ``program-<sha>`` — a compiled :class:`Program`; the hash covers the
   source text, the full environment config (``repr``), the module name,
-  the ``verify_static`` flag, and the toolchain version tag.
+  and the toolchain version tag.
 * ``run-<sha>`` — an :class:`~repro.emulator.stats.ExecutionStats`; the
   hash covers the producing program's key, the canonical power-supply
   key, the WAR-check flag, the instruction budget, and the cost model.
@@ -127,8 +127,7 @@ def _digest(kind: str, *parts: str) -> str:
     return f"{kind}-{digest.hexdigest()}"
 
 
-def compile_key(sources, config, name: str = "program",
-                verify_static: bool = False) -> str:
+def compile_key(sources, config, name: str = "program") -> str:
     """Key of a compiled ``Program``.
 
     ``config`` is the fully resolved :class:`EnvironmentConfig` (its
@@ -140,7 +139,6 @@ def compile_key(sources, config, name: str = "program",
         "program",
         name,
         repr(config),
-        "verify" if verify_static else "noverify",
         *sources,
     )
 

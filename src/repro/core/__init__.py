@@ -21,8 +21,8 @@ from .loop_write_clusterer import (
 )
 from .lint import (
     LintResult,
+    certify,
     lint_benchmarks,
-    lint_module,
     lint_sources,
     strip_checkpoints,
 )
@@ -30,10 +30,12 @@ from .profiling import collect_call_profile, iclang_pgo, profile_guided_expand
 from .region_bound import bound_region_sizes
 from .pipeline import (
     ENVIRONMENTS,
+    Build,
     EnvironmentConfig,
-    compile_ir,
+    build,
     environment,
     iclang,
+    lower,
     run_middle_end,
 )
 from .write_clusterer import cluster_writes
@@ -49,8 +51,8 @@ __all__ = [
     "cluster_writes",
     "collect_call_profile", "iclang_pgo", "profile_guided_expand",
     "bound_region_sizes",
-    "iclang", "compile_ir", "run_middle_end",
+    "iclang", "build", "lower", "Build", "run_middle_end",
     "ENVIRONMENTS", "EnvironmentConfig", "environment",
-    "LintResult", "lint_module", "lint_sources", "lint_benchmarks",
+    "LintResult", "certify", "lint_sources", "lint_benchmarks",
     "strip_checkpoints",
 ]

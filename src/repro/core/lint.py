@@ -1,11 +1,13 @@
 """``repro lint`` — whole-pipeline static WAR certification.
 
-Compiles mini-C sources (or a named benchsuite program) under one
-environment and collects every static verifier's findings into a single
+Certifies one :class:`~repro.core.pipeline.Build` — the instrumented IR
+and machine code of one compile, before it is encoded — and collects
+every static verifier's findings into a single
 :class:`~repro.diagnostics.DiagnosticEngine`:
 
 * the IR-level region dataflow (:mod:`repro.analysis.static_war`) over
-  the instrumented middle-end IR,
+  the instrumented IR (as the back end left it: simplified and
+  edge-split),
 * the machine-level stack verifier (:mod:`repro.backend.mir_war`) over
   the final machine IR (spill slots, pops, epilogue frame releases),
 * the structural machine-IR verifier (`verify_mfunction`), whose
@@ -17,7 +19,7 @@ environment and collects every static verifier's findings into a single
   machine-checkable per-function certificates.
 
 The certification depth is selectable (``level``): ``"ir"`` stops after
-the middle-end verifier, ``"mir"`` adds the back-end verifiers (the
+the IR-level verifier, ``"mir"`` adds the back-end verifiers (the
 historical default), ``"full"`` adds the idempotence certifier.
 
 Exit-code contract (used by the CLI and by CI): ``0`` — certified
@@ -31,13 +33,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..analysis.static_war import verify_module_war
-from ..backend import MIRVerificationError, lower_module, verify_mfunction
+from ..backend import MIRVerificationError, verify_mfunction
+# unused here, but perfbench's tracer wraps this name in this module
+from ..backend import lower_module
 from ..backend.mir_war import verify_mmodule_war
 from ..diagnostics import LEVEL_MIR, DiagnosticEngine
 from ..frontend import compile_sources
 from ..ir import Module, verify_module
 from ..ir.instructions import Checkpoint
-from .pipeline import EnvironmentConfig, environment, run_middle_end
+from .pipeline import Build, EnvironmentConfig, build, environment
 
 #: Exit codes of the ``lint`` subcommand.
 EXIT_CLEAN = 0
@@ -104,17 +108,15 @@ def strip_checkpoints(module: Module) -> int:
     return removed
 
 
-def lint_module(
-    module: Module,
-    env: Union[str, EnvironmentConfig],
-    run_middle: bool = True,
-    name: Optional[str] = None,
+def certify(
+    build: Build,
     level: str = "full",
     budget: Optional[int] = None,
+    name: Optional[str] = None,
 ) -> LintResult:
-    """Lint an IR module: run the middle end (unless the caller already
-    did) and the static verifiers up to ``level``, collecting all
-    diagnostics.
+    """Run the static verifiers up to ``level`` over one build, collecting
+    all diagnostics.  Certify before :meth:`Build.encode`, which
+    rewrites the machine module in place.
 
     ``budget`` is a per-region cycle budget for the forward-progress
     certifier (``level="full"``): with it set, ``progress-unbounded``
@@ -125,18 +127,10 @@ def lint_module(
         raise ValueError(
             f"unknown lint level {level!r} (choose from {LEVEL_ORDER})"
         )
-    config = environment(env)
+    config, module, mmodule = build.config, build.module, build.mmodule
+    summaries = build.summaries
+    name = name or module.name
     engine = DiagnosticEngine()
-    summaries = None
-    if run_middle:
-        summaries = run_middle_end(module, config)
-    elif config.call_summaries and config.instrument:
-        # The caller instrumented the module itself; recompute the table
-        # on the post-insertion IR (transparency is stable across
-        # insertion, so this matches what the inserter used).
-        from ..analysis.summaries import compute_summaries
-
-        summaries = compute_summaries(module, alias_mode=config.alias_mode)
     if summaries is not None:
         # Surface the precision-loss warnings alongside the WAR findings.
         from ..analysis.pointsto import report_top_causes
@@ -150,19 +144,7 @@ def lint_module(
         summaries=summaries,
     )
     if level == "ir":
-        return LintResult(name or module.name, config.name, engine, level)
-    mmodule = lower_module(
-        module,
-        spill_checkpoint_mode=(
-            config.spill_checkpoint_mode if config.instrument else None
-        ),
-        epilogue_style=config.epilogue_style,
-        entry_checkpoints=config.instrument,
-        transparent=(
-            summaries.transparent_names() if summaries is not None else None
-        ),
-        epilogue_bug=config.epilogue_bug,
-    )
+        return LintResult(name, config.name, engine, level)
     for mfn in mmodule.functions.values():
         try:
             verify_mfunction(mfn, after_regalloc=True)
@@ -204,7 +186,7 @@ def lint_module(
             budget=budget,
             region_budget=config.max_region_cycles,
         )
-        report = getattr(module, "elision_report", None)
+        report = build.elision_report
         if report is not None:
             # Audit the elision pass's own certificates: every removed
             # checkpoint must carry three discharged sub-proofs.  This
@@ -215,7 +197,7 @@ def lint_module(
 
             audit_elisions(report, engine)
             placement = report.certificates
-    return LintResult(name or module.name, config.name, engine, level,
+    return LintResult(name, config.name, engine, level,
                       certificates, progress, placement, budget)
 
 
@@ -227,7 +209,8 @@ def lint_sources(
     level: str = "full",
     budget: Optional[int] = None,
 ) -> LintResult:
-    """Front-end + middle-end + all static verifiers for mini-C sources.
+    """Front end + :func:`~repro.core.pipeline.build` + :func:`certify`
+    for mini-C sources.
 
     Verdicts are content-addressed like compiles: the same sources under
     the same environment and toolchain always produce the same
@@ -248,7 +231,8 @@ def lint_sources(
             return result
     module = compile_sources(sources, name)
     verify_module(module)
-    result = lint_module(module, config, name=name, level=level, budget=budget)
+    result = certify(build(module, config), level=level, budget=budget,
+                     name=name)
     if store is not None:
         store.put(key, result)
     return result
@@ -300,5 +284,5 @@ def lint_benchmarks(
 __all__ = [
     "EXIT_CLEAN", "EXIT_ERRORS", "EXIT_COMPILE_FAILED", "LEVEL_ORDER",
     "LintResult", "diagnostics_json", "strip_checkpoints",
-    "lint_module", "lint_sources", "lint_benchmarks",
+    "certify", "lint_sources", "lint_benchmarks",
 ]

@@ -31,14 +31,18 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Union
 
 from ..analysis.alias import CONSERVATIVE, PRECISE
-from ..analysis.static_war import StaticWARError, verify_module_war
-from ..backend import Program, encode_module, lower_module
+# unused here, but perfbench's tracer wraps this name in this module
+from ..analysis.static_war import verify_module_war
+from ..analysis.summaries import SummaryTable
+from ..backend import MModule, Program, encode_module, lower_module
+# unused here, but perfbench's tracer wraps this name in this module
 from ..backend.mir_war import verify_mmodule_war
 from ..frontend import compile_sources
 from ..ir import Module, verify_module
 from ..transforms import optimize_module
 from ..transforms.dce import run_on_module as run_dce
 from ..transforms.simplifycfg import run_on_module as run_simplify
+from .checkpoint_elim import ElisionReport
 from .checkpoint_inserter import insert_checkpoints
 from .expander import expand
 from .loop_write_clusterer import DEFAULT_UNROLL_FACTOR, cluster_loop_writes
@@ -246,23 +250,25 @@ def _drop_nth_checkpoint(module: Module, index: int) -> None:
 
 
 def run_middle_end(
-    module: Module, config: EnvironmentConfig, verify_static: bool = False
+    module: Module,
+    config: EnvironmentConfig,
+    call_profile: Optional[Dict[str, int]] = None,
 ):
     """WARio's middle end in the Figure 2 order: always-inline + -O3,
     Loop Write Clusterer, Expander, Write Clusterer, PDG Checkpoint
     Inserter.
 
-    ``verify_static`` re-proves WAR-freedom of the instrumented IR with
-    the independent region-dataflow verifier
-    (:mod:`repro.analysis.static_war`) and raises :class:`StaticWARError`
-    if any region still contains a load-before-store pair.
+    ``call_profile`` (hot callee -> measured call count, see
+    :func:`~repro.core.profiling.iclang_pgo`) makes the Expander step
+    inline by the profile instead of the static heuristic, whether or not
+    ``config.expander`` is set.
 
     Returns the :class:`~repro.analysis.summaries.SummaryTable` when
     ``config.call_summaries`` is set (the back end needs the transparent
     set), else ``None``.  With ``config.checkpoint_elim`` the
     certificate-guided elision pass runs after insertion and its
     :class:`~repro.core.checkpoint_elim.ElisionReport` is attached to
-    the module as ``module.elision_report`` (the lint driver audits it).
+    the module as ``module.elision_report``.
     """
     optimize_module(module)
     if config.volatile_cache:
@@ -275,8 +281,14 @@ def run_middle_end(
             module, unroll_factor=config.unroll_factor, alias_mode=config.alias_mode
         )
         run_dce(module)
-    if config.expander:
-        expand(module)
+    if call_profile is not None or config.expander:
+        if call_profile is not None:
+            from .profiling import profile_guided_expand
+
+            # every callee in the profile is already hot (see iclang_pgo)
+            profile_guided_expand(module, call_profile, min_calls=1)
+        else:
+            expand(module)
         run_simplify(module)
         run_dce(module)
     if config.write_clusterer:
@@ -321,62 +333,61 @@ def run_middle_end(
         if config.drop_checkpoint is not None:
             _drop_nth_checkpoint(module, config.drop_checkpoint)
     verify_module(module)
-    if verify_static:
-        engine = verify_module_war(
-            module,
-            alias_mode=config.alias_mode,
-            calls_are_checkpoints=config.instrument,
-            summaries=summaries,
-        )
-        if engine.has_errors:
-            raise StaticWARError(engine)
     return summaries
 
 
-def compile_ir(
-    module: Module,
-    env: Union[str, EnvironmentConfig],
-    verify_static: bool = False,
-) -> Program:
-    """Middle end + back end for an already-front-ended module.
+@dataclass
+class Build:
+    """One module compiled under one environment down to machine code.
 
-    With ``verify_static=True`` the static WAR verifiers certify the
-    module after each level — the instrumented middle-end IR and the
-    final machine IR (spill slots, pops, epilogue frame releases) — plus
-    the structural machine-IR checks; any error raises
-    :class:`StaticWARError` / ``MIRVerificationError``.
+    ``module`` is the instrumented IR (the back end simplifies and
+    edge-splits it in place), ``summaries`` the table the middle end
+    computed (``None`` without ``call_summaries``), ``elision_report``
+    the elision pass's report (``None`` without ``checkpoint_elim``) and
+    ``mmodule`` the machine module.  Certify a build
+    (:func:`repro.core.lint.certify`) before :meth:`encode`, which
+    rewrites ``mmodule`` in place.
     """
-    config = environment(env)
-    summaries = run_middle_end(module, config, verify_static=verify_static)
-    transparent = (
-        summaries.transparent_names() if summaries is not None else None
-    )
+
+    config: EnvironmentConfig
+    module: Module
+    summaries: Optional[SummaryTable]
+    elision_report: Optional[ElisionReport]
+    mmodule: MModule
+
+    def encode(self) -> Program:
+        """Link the machine module into the executable image; the last
+        step of a build."""
+        program = encode_module(self.mmodule)
+        if self.elision_report is not None:
+            # ride the elision count on the program so bench/eval cells
+            # can report the optimisation trajectory without recompiling
+            program.elisions = self.elision_report.elided
+        return program
+
+
+def lower(module: Module, config: EnvironmentConfig, summaries=None) -> Build:
+    """The back end for a module ``run_middle_end`` instrumented under
+    ``config`` (``summaries`` is what it returned): the one place an
+    environment becomes :func:`~repro.backend.lower_module` arguments."""
     mmodule = lower_module(
         module,
         spill_checkpoint_mode=config.spill_checkpoint_mode if config.instrument else None,
         epilogue_style=config.epilogue_style,
         entry_checkpoints=config.instrument,
-        verify=verify_static,
-        transparent=transparent,
+        transparent=(
+            summaries.transparent_names() if summaries is not None else None
+        ),
         epilogue_bug=config.epilogue_bug,
     )
-    if verify_static:
-        engine = verify_mmodule_war(
-            mmodule,
-            module,
-            alias_mode=config.alias_mode,
-            calls_are_checkpoints=config.instrument,
-            summaries=summaries,
-        )
-        if engine.has_errors:
-            raise StaticWARError(engine)
-    program = encode_module(mmodule)
-    report = getattr(module, "elision_report", None)
-    if report is not None:
-        # ride the elision count on the program so bench/eval cells can
-        # report the optimisation trajectory without recompiling
-        program.elisions = report.elided
-    return program
+    return Build(config, module, summaries,
+                 getattr(module, "elision_report", None), mmodule)
+
+
+def build(module: Module, env: Union[str, EnvironmentConfig]) -> Build:
+    """Middle end + back end for an already-front-ended module."""
+    config = environment(env)
+    return lower(module, config, run_middle_end(module, config))
 
 
 def iclang(
@@ -384,15 +395,14 @@ def iclang(
     env: Union[str, EnvironmentConfig] = "wario",
     unroll_factor: Optional[int] = None,
     name: str = "program",
-    verify_static: bool = False,
     cache=None,
 ) -> Program:
     """The drop-in compilation driver: mini-C source(s) -> executable.
 
     ``unroll_factor`` overrides the Loop Write Clusterer's N (paper
-    default: 8, found experimentally in §5.2.4).  ``verify_static``
-    additionally certifies WAR-freedom at both IR and machine-IR level
-    (see :func:`compile_ir`).
+    default: 8, found experimentally in §5.2.4).  To certify the same
+    build before encoding it, compose :func:`build`,
+    :func:`repro.core.lint.certify` and :meth:`Build.encode`.
 
     Compilation is content-addressed: the result is looked up in (and
     stored to) the on-disk :mod:`repro.cache` keyed on the sources, the
@@ -408,7 +418,7 @@ def iclang(
         config = replace(config, unroll_factor=unroll_factor)
     if isinstance(sources, str):
         sources = [sources]
-    key = compile_key(sources, config, name=name, verify_static=verify_static)
+    key = compile_key(sources, config, name=name)
     store = resolve_cache(cache)
     if store is not None:
         program = store.get(key)
@@ -416,7 +426,7 @@ def iclang(
             return program
     module = compile_sources(sources, name)
     verify_module(module)
-    program = compile_ir(module, config, verify_static=verify_static)
+    program = build(module, config).encode()
     program.cache_key = key
     if store is not None:
         store.put(key, program)

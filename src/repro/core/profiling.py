@@ -11,6 +11,7 @@ innermost-loop heuristic.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Union
 
 from ..backend import Program
@@ -20,7 +21,7 @@ from ..ir import Module, verify_module
 from ..ir.instructions import Call
 from ..transforms.inline import can_inline, inline_call
 from .expander import MAX_EXPAND_SIZE, _is_candidate_function
-from .pipeline import EnvironmentConfig, compile_ir, environment
+from .pipeline import EnvironmentConfig, environment, lower, run_middle_end
 
 
 def collect_call_profile(
@@ -86,46 +87,17 @@ def iclang_pgo(
     unroll_factor: Optional[int] = None,
 ) -> Program:
     """Two-phase profile-guided compilation: profile the plain build,
-    then compile ``env`` with the profile-guided Expander replacing the
-    heuristic one."""
-    from dataclasses import replace
-
+    then compile ``env`` with the profile-guided Expander (callees called
+    at least ``min_calls`` times) replacing the heuristic one."""
     profile = collect_call_profile(sources, name=f"{name}.profile")
+    hot = {callee: count for callee, count in profile.items()
+           if count >= min_calls}
     config = environment(env)
     if unroll_factor is not None:
         config = replace(config, unroll_factor=unroll_factor)
-    # the heuristic expander is superseded by the profile-guided one
-    config = replace(config, name=f"{config.name}-pgo", expander=False)
     if isinstance(sources, str):
         sources = [sources]
     module = compile_sources(sources, name)
     verify_module(module)
-
-    from ..transforms import optimize_module
-    from ..transforms.dce import run_on_module as run_dce
-    from ..transforms.simplifycfg import run_on_module as run_simplify
-    from .checkpoint_inserter import insert_checkpoints
-    from .loop_write_clusterer import cluster_loop_writes
-    from .write_clusterer import cluster_writes
-    from ..backend import compile_to_program
-
-    optimize_module(module)
-    if config.loop_write_clusterer:
-        cluster_loop_writes(
-            module, unroll_factor=config.unroll_factor, alias_mode=config.alias_mode
-        )
-        run_dce(module)
-    profile_guided_expand(module, profile, min_calls=min_calls)
-    run_simplify(module)
-    run_dce(module)
-    if config.write_clusterer:
-        cluster_writes(module, alias_mode=config.alias_mode)
-    if config.instrument:
-        insert_checkpoints(module, alias_mode=config.alias_mode)
-    verify_module(module)
-    return compile_to_program(
-        module,
-        spill_checkpoint_mode=config.spill_checkpoint_mode if config.instrument else None,
-        epilogue_style=config.epilogue_style,
-        entry_checkpoints=config.instrument,
-    )
+    summaries = run_middle_end(module, config, call_profile=hot)
+    return lower(module, config, summaries).encode()

@@ -60,13 +60,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 from dataclasses import replace
 
 from repro.benchsuite import BENCHMARKS, get_benchmark
-from repro.core import ENVIRONMENTS, iclang, run_middle_end
-from repro.core.lint import (
-    diagnostics_json,
-    lint_module,
-    lint_sources,
-    strip_checkpoints,
-)
+from repro.core import ENVIRONMENTS, build, lower, run_middle_end
+from repro.core.lint import certify, diagnostics_json, strip_checkpoints
 from repro.frontend import compile_sources
 from repro.ir import verify_module
 
@@ -119,12 +114,11 @@ def case_diagnostics(sources, config, mutate):
     module = compile_sources(sources, "golden")
     verify_module(module)
     if mutate is None:
-        result = lint_module(module, config, name="golden", level="mir")
+        result = certify(build(module, config), level="mir")
     else:
-        run_middle_end(module, config)
+        summaries = run_middle_end(module, config)
         mutate(module)
-        result = lint_module(module, config, run_middle=False, name="golden",
-                             level="mir")
+        result = certify(lower(module, config, summaries), level="mir")
     return [d.to_dict() for d in result.engine.diagnostics]
 
 
@@ -173,8 +167,7 @@ PLACEMENT_ENVS = ("ratchet", "r-pdg", "wario", "wario-summaries", "wario-opt")
 def checkpoint_positions(source, config):
     """Every checkpoint of one compile as ``"function:block:index:cause"``
     rows: the middle-end IR after ``run_middle_end`` and the machine IR
-    after ``lower_module``, each in layout order."""
-    from repro.backend import lower_module
+    after ``lower``, each in layout order."""
     from repro.ir.instructions import Checkpoint
 
     module = compile_sources([source], "golden")
@@ -187,14 +180,7 @@ def checkpoint_positions(source, config):
         for idx, instr in enumerate(block.instructions)
         if isinstance(instr, Checkpoint)
     ]
-    mmodule = lower_module(
-        module,
-        spill_checkpoint_mode=config.spill_checkpoint_mode,
-        epilogue_style=config.epilogue_style,
-        entry_checkpoints=config.instrument,
-        transparent=(summaries.transparent_names()
-                     if summaries is not None else None),
-    )
+    mmodule = lower(module, config, summaries).mmodule
     back = [
         f"{fn.name}:{block.name}:{idx}:{instr.cause}"
         for fn in mmodule.functions.values()
@@ -315,13 +301,15 @@ def verdict_digest(result):
 
 
 def manifest_row(program, config):
-    """One manifest row: the program and full-level verdict of one
-    compile, and a WAR-checked continuous-power run of that program."""
+    """One manifest row: one build, its full-level verdict, its program,
+    and a WAR-checked continuous-power run of that program."""
     from repro.emulator import Machine
 
-    image = iclang(program.source, config, name=program.name, cache=False)
-    verdict = lint_sources(program.source, config, name=program.name,
-                           cache=False, level="full")
+    module = compile_sources([program.source], program.name)
+    verify_module(module)
+    cell = build(module, config)
+    verdict = certify(cell)
+    image = cell.encode()
     machine = Machine(image, war_check=True)
     stats = machine.run(max_instructions=program.max_instructions)
     return {

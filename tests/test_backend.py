@@ -5,12 +5,7 @@ import pytest
 
 from helpers import compile_and_run
 
-from repro.backend import (
-    Program,
-    compile_to_program,
-    encode_module,
-    lower_module,
-)
+from repro.backend import Program, encode_module, lower_module
 from repro.backend.encoder import GLOBALS_BASE, encode_size
 from repro.backend.mir import ALLOCATABLE, MInstr, VReg
 from repro.backend.regalloc import CALLER_POOL
@@ -235,7 +230,7 @@ class TestEncoder:
         """
         m = compile_source(src)
         run_middle_end(m, environment("plain"))
-        program = compile_to_program(m)
+        program = encode_module(lower_module(m))
         addr = program.global_addr["magic"]
         assert program.initial_memory[addr : addr + 4] == (0xCAFEBABE).to_bytes(4, "little")
         raw = program.global_addr["raw"]

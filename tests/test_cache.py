@@ -49,9 +49,8 @@ def test_compile_key_varies_with_inputs():
         compile_key(SRC + " ", wario),                 # source change
         compile_key(SRC, ENVIRONMENTS["ratchet"]),     # env change
         compile_key(SRC, wario, name="other"),         # name change
-        compile_key(SRC, wario, verify_static=True),   # flag change
     }
-    assert len(keys) == 5
+    assert len(keys) == 4
 
 
 def test_run_key_covers_war_check_and_power():

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.__main__ import main
+from repro.core.lint import EXIT_COMPILE_FAILED
 from repro.backend.disasm import disassemble, format_instruction
 from repro.backend.mir import MInstr, VReg
 from repro import iclang
@@ -106,6 +107,22 @@ class TestCLI:
         assert os.path.exists(out_path)
         listing = open(out_path).read()
         assert "main:" in listing
+
+    @pytest.mark.parametrize("verb", ["compile", "run"])
+    @pytest.mark.parametrize("source, message", [
+        ("int main(void) { return x; }", "unknown identifier 'x'"),
+        ("int main(void) { return 1 +; }", "unexpected token ';'"),
+        ("int *p = 0;\nint main(void) { return 0; }",
+         "unsupported global type i32*"),
+    ])
+    def test_compile_failure_is_reported(self, verb, source, message,
+                                         tmp_path, capsys):
+        path = tmp_path / "bad.c"
+        path.write_text(source)
+        assert main([verb, str(path)]) == EXIT_COMPILE_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith(f"{verb}: compilation failed: ")
+        assert message in err
 
     def test_unroll_override(self, source_file, capsys):
         assert main(["compile", source_file, "--env", "wario", "--unroll", "2"]) == 0

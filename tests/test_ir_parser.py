@@ -6,7 +6,7 @@ import pytest
 from helpers import ALL_ENVIRONMENTS
 
 from repro import Machine
-from repro.core import compile_ir
+from repro.core import build
 from repro.frontend import compile_source
 from repro.ir import module_to_str, verify_module
 from repro.ir.parser import IRParseError, parse_module, parse_type
@@ -54,14 +54,14 @@ class TestHandWrittenIR:
 
     def test_executes(self):
         module = parse_module(HAND_WRITTEN)
-        program = compile_ir(module, "plain")
+        program = build(module, "plain").encode()
         machine = Machine(program, war_check=False)
         machine.run()
         assert machine.read_global("g") == 5 + 3
 
     def test_instrumented_execution(self):
         module = parse_module(HAND_WRITTEN)
-        program = compile_ir(module, "ratchet")
+        program = build(module, "ratchet").encode()
         machine = Machine(program, war_check=True)
         machine.run()
         assert machine.read_global("g") == 8
@@ -87,7 +87,7 @@ class TestHandWrittenIR:
         """
         module = parse_module(text)
         verify_module(module)
-        program = compile_ir(module, "plain")
+        program = build(module, "plain").encode()
         machine = Machine(program)
         machine.run()
         assert machine.read_global("out") == sum(range(10))
@@ -152,7 +152,7 @@ def test_print_parse_round_trip(source):
     # both modules must behave identically
     results = []
     for module in (original, reparsed):
-        program = compile_ir(module, "plain")
+        program = build(module, "plain").encode()
         machine = Machine(program, war_check=False)
         machine.run()
         results.append(machine.read_global("out"))

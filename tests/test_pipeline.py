@@ -4,7 +4,7 @@ and the evaluation runner."""
 import pytest
 
 from repro import ENVIRONMENTS, Machine, iclang
-from repro.core import EnvironmentConfig, compile_ir, environment
+from repro.core import EnvironmentConfig, build, environment
 from repro.core.pipeline import run_middle_end
 from repro.eval import ExperimentRunner
 from repro.frontend import compile_source
@@ -77,9 +77,9 @@ class TestEnvironments:
         m = compile_source(SRC)
         run_middle_end(m, environment("wario"))  # verify_module runs inside
 
-    def test_compile_ir_entry_point(self):
+    def test_build_entry_point(self):
         m = compile_source(SRC)
-        program = compile_ir(m, "r-pdg")
+        program = build(m, "r-pdg").encode()
         machine = Machine(program)
         machine.run()
         assert machine.read_global("total") == 16

@@ -506,14 +506,14 @@ class TestFunctions:
     def test_multiple_translation_units(self):
         from repro.frontend import compile_sources
         from repro.ir import verify_module
-        from repro.core import compile_ir
+        from repro.core import build
         from repro import Machine
 
         unit1 = "unsigned int result; int helper(int x); int main(void) { result = (unsigned int)helper(20); return 0; }"
         unit2 = "int helper(int x) { return x * 2 + 2; }"
         module = compile_sources([unit1, unit2])
         verify_module(module)
-        program = compile_ir(module, "plain")
+        program = build(module, "plain").encode()
         machine = Machine(program, war_check=False)
         machine.run()
         assert machine.read_global("result") == 42

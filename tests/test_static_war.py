@@ -15,18 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Machine, iclang
 from repro.__main__ import main
-from repro.analysis.static_war import (
-    StaticWARError,
-    verify_function_war,
-    verify_module_war,
-)
+from repro.analysis.static_war import verify_function_war, verify_module_war
+from repro.backend.disasm import disassemble
 from repro.benchsuite import BENCHMARKS
-from repro.core import ENVIRONMENTS, run_middle_end
+from repro.core import ENVIRONMENTS, build, lower, run_middle_end
 from repro.core.lint import (
     EXIT_CLEAN,
     EXIT_COMPILE_FAILED,
     EXIT_ERRORS,
-    lint_module,
+    certify,
     lint_sources,
     strip_checkpoints,
 )
@@ -151,21 +148,26 @@ def test_stripped_checkpoints_are_detected():
     module, config = _middle_end_module(RMW_SOURCE, "wario")
     removed = strip_checkpoints(module)
     assert removed > 0
-    result = lint_module(module, config, run_middle=False, name="stripped")
+    result = certify(lower(module, config), name="stripped")
     assert not result.certified
     assert result.exit_code == EXIT_ERRORS
     assert any(d.code.startswith(("war-", "mir-war-"))
                for d in result.engine.diagnostics)
 
 
-def test_verify_static_pipeline_option():
-    program = iclang(RMW_SOURCE, "wario", verify_static=True)
+def test_certify_then_encode_one_build():
+    """The certified build is the one that runs: certify it, then encode
+    that same build into the program ``iclang`` returns."""
+    wario = build(compile_sources([RMW_SOURCE], "program"), "wario")
+    assert certify(wario, level="mir").certified
+    program = wario.encode()
+    assert disassemble(program) == disassemble(
+        iclang(RMW_SOURCE, "wario", cache=False))
     machine = Machine(program)
     machine.run()
     assert machine.war.clean
-    with pytest.raises(StaticWARError) as excinfo:
-        iclang(RMW_SOURCE, "plain", verify_static=True)
-    assert excinfo.value.engine.has_errors
+    plain = build(compile_sources([RMW_SOURCE], "program"), "plain")
+    assert certify(plain, level="mir").exit_code == EXIT_ERRORS
 
 
 def test_diagnostics_carry_source_locations():

@@ -386,9 +386,9 @@ class TestUnroll:
         assert can_unroll(loop)
         unroll_single_block_loop(loop, factor)
         verify_module(m)
-        from repro.core import compile_ir
+        from repro.core import build
         from repro import Machine
-        program = compile_ir(m, "plain")
+        program = build(m, "plain").encode()
         machine = Machine(program, war_check=False)
         machine.run()
         assert machine.read_global("g") == sum(i * 3 for i in range(37))
@@ -433,9 +433,9 @@ class TestUnroll:
         f, loop = self._loop(m)
         unroll_single_block_loop(loop, 8)
         verify_module(m)
-        from repro.core import compile_ir
+        from repro.core import build
         from repro import Machine
-        program = compile_ir(m, "plain")
+        program = build(m, "plain").encode()
         machine = Machine(program, war_check=False)
         machine.run()
         assert machine.read_global("g") == sum(i * 3 for i in range(37))

@@ -8,8 +8,8 @@ hazard — mirroring how the paper's emulator validated the system
 from dataclasses import replace
 
 from repro import Machine, iclang
-from repro.core import compile_ir, environment, run_middle_end
-from repro.backend import compile_to_program
+from repro.core import environment, run_middle_end
+from repro.backend import encode_module, lower_module
 from repro.frontend import compile_source
 
 SRC = """
@@ -64,12 +64,12 @@ def test_unprotected_epilogue_is_a_hazard_under_interrupts():
     run_middle_end(module, config)
     # Lower with middle-end checkpoints and entry checkpoints, but a
     # *plain* (unprotected) epilogue.
-    program = compile_to_program(
+    program = encode_module(lower_module(
         module,
         spill_checkpoint_mode="basic",
         epilogue_style="plain",
         entry_checkpoints=True,
-    )
+    ))
     machine = Machine(program, war_check=True, interrupt_interval=37)
     machine.run()
     assert not machine.war.clean, (
@@ -115,23 +115,23 @@ def test_entry_checkpoints_are_necessary():
     module = compile_source(src)
     config = environment("r-pdg")
     run_middle_end(module, config)
-    program = compile_to_program(
+    program = encode_module(lower_module(
         module,
         spill_checkpoint_mode="basic",
         epilogue_style="ratchet",
         entry_checkpoints=False,   # <- removed ingredient
-    )
+    ))
     machine = Machine(program, war_check=True)
     machine.run()
     assert not machine.war.clean
 
     # with the entry checkpoints restored, the same build is clean
-    program = compile_to_program(
+    program = encode_module(lower_module(
         module,
         spill_checkpoint_mode="basic",
         epilogue_style="ratchet",
         entry_checkpoints=True,
-    )
+    ))
     machine = Machine(program, war_check=True)
     machine.run()
     assert machine.war.clean
