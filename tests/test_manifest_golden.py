@@ -6,8 +6,8 @@ code bytes and elision count, what a WAR-checked continuous-power run
 of it did, and the sha256 of its full-level lint verdict with every
 certificate (see ``tests/golden/generate.py``).  This recomputes the
 ``grid`` section; CI recomputes the ``wide`` one with
-``generate.py --check``.  A PR regenerates the manifest only when it
-names the entries that moved and says why.
+``generate.py --check``.  Regenerate the manifest only for a change
+that names the entries that moved and says why.
 """
 
 import importlib.util
