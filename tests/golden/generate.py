@@ -38,7 +38,10 @@ bytes and elision count, the executed checkpoints, cycles, halt and WAR
 verdict of a WAR-checked continuous-power run, and the sha256 of the
 full-level lint verdict with its certificates.  Its ``grid`` section
 (:data:`MANIFEST_ENVS`) is recomputed by ``tests/test_manifest_golden.py``;
-its ``wide`` section (:func:`wide_cells`) only by ``--check``.
+its ``wide`` section (:func:`wide_cells`) only by ``--check``, and so is
+its ``campaigns`` section (:func:`generate_campaigns`): the sha256 and
+per-verdict cell counts of the ``inject --quick``, ``--differential
+--quick`` and ``--progress --quick`` JSON reports.
 
 Only regenerate a fixture when a *deliberate* change lands (new code,
 reworded message, a placement rule); never to paper over a parity
@@ -257,10 +260,16 @@ def grid_cells():
             yield f"{bench}/{env}", get_benchmark(bench), ENVIRONMENTS[env]
 
 
+#: the environments and budgets of the manifest's region-bound rows
+REGION_BOUND_ENVS = ("wario", "wario-summaries", "ratchet")
+REGION_BOUND_BUDGETS = (600, 2000)
+
+
 def wide_cells():
     """``(key, program, config)`` of the cells only ``--check`` recomputes:
     the environments the grid leaves out, ``wario`` at unroll 4 and 12,
-    and the forced cells of ``elisions.json``."""
+    the region-bound pass at each of :data:`REGION_BOUND_BUDGETS`, and the
+    forced cells of ``elisions.json``."""
     for bench in MANIFEST_PROGRAMS:
         for env in ENVIRONMENTS:
             if env not in MANIFEST_ENVS:
@@ -268,6 +277,11 @@ def wide_cells():
         for unroll in (4, 12):
             config = replace(ENVIRONMENTS["wario"], unroll_factor=unroll)
             yield f"{bench}/wario+unroll={unroll}", get_benchmark(bench), config
+        for env in REGION_BOUND_ENVS:
+            for budget in REGION_BOUND_BUDGETS:
+                config = replace(ENVIRONMENTS[env], max_region_cycles=budget)
+                yield (f"{bench}/{env}+max_region_cycles={budget}",
+                       get_benchmark(bench), config)
     for env, bench, index in FORCED_ELISIONS:
         config = replace(ENVIRONMENTS[env], force_unsafe_elision=index)
         yield f"{bench}/{env}+force={index}", get_benchmark(bench), config
@@ -324,12 +338,55 @@ def manifest_row(program, config):
     }
 
 
-def generate_manifest():
+def campaign_row(report, verdicts):
+    """One ``campaigns`` row: the sha256 of the JSON report as ``-o``
+    writes it, and how many cells got each verdict."""
+    counts = {}
+    for verdict in verdicts:
+        counts[verdict] = counts.get(verdict, 0) + 1
     return {
+        "sha256": hashlib.sha256((report.to_json() + "\n").encode()).hexdigest(),
+        "verdicts": counts,
+    }
+
+
+def generate_campaigns():
+    """The three quick campaigns of ``repro inject``, in process and with
+    the cache off."""
+    from repro.faultinject import (
+        quick_config,
+        quick_differential_config,
+        quick_progress_config,
+        run_campaign,
+        run_differential,
+        run_progress_differential,
+    )
+
+    campaign = run_campaign(quick_config(jobs=1), cache=False)
+    differential = run_differential(quick_differential_config(jobs=1),
+                                    cache=False)
+    progress = run_progress_differential(quick_progress_config(), cache=False)
+    return {
+        "inject --quick": campaign_row(campaign, [
+            judged.verdict for pair in campaign.pairs for judged in pair.judged
+        ]),
+        "inject --differential --quick": campaign_row(differential, [
+            cell.agreement for cell in differential.cells
+        ]),
+        "inject --progress --quick": campaign_row(progress, [
+            cell.agreement for cell in progress.cells
+        ]),
+    }
+
+
+def generate_manifest():
+    manifest = {
         section: {key: manifest_row(program, config)
                   for key, program, config in cells()}
         for section, cells in (("grid", grid_cells), ("wide", wide_cells))
     }
+    manifest["campaigns"] = generate_campaigns()
+    return manifest
 
 
 FIXTURES = {
