@@ -32,6 +32,13 @@ Tarjan SCC order of :mod:`repro.analysis.summaries` (a recursive SCC is
 into summary nodes and the resulting DAG is evaluated with the generic
 worklist solver of :mod:`repro.analysis.dataflow`.
 
+**The IR estimate** (:class:`IRProgress`) runs the same summariser over
+the middle-end IR, charging the estimate table :func:`ir_cost` (derived
+from the same ``CostModel``; the region-bound pass charges it too).  It
+is the progress sub-proof of checkpoint elision
+(:mod:`repro.analysis.redundancy`), which must bound a merged region
+before the back end exists.
+
 Every path set is summarised by four components (the *progress
 lattice*, see ``docs/PROGRESS.md``):
 
@@ -69,6 +76,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..diagnostics import LEVEL_CERTIFY, DiagnosticEngine
 from ..emulator.costs import DEFAULT_COSTS, CostModel
+from ..ir.instructions import Call, Checkpoint
 from .dataflow import DataflowProblem, solve
 from .dominators import dominator_tree
 from .loops import find_induction_variables, loop_info
@@ -417,43 +425,44 @@ def _power(body: PathSummary, trips: float) -> PathSummary:
 
 
 # ---------------------------------------------------------------------------
-# Machine-IR loop forest (positional back edges, same convention as
-# repro.backend.mir_war / CFGProblem)
+# The loop forest: one finder for machine and middle-end functions
+# (positional back edges, same convention as repro.backend.mir_war /
+# CFGProblem)
 # ---------------------------------------------------------------------------
 
-class _MLoop:
-    __slots__ = ("header", "blocks", "latches", "parent", "children", "trips")
+class _Loop:
+    __slots__ = ("header", "blocks", "parent", "children")
 
     def __init__(self, header: str):
         self.header = header
         self.blocks = {header}
-        self.latches: set = set()
-        self.parent: Optional["_MLoop"] = None
-        self.children: List["_MLoop"] = []
-        self.trips: float = UNBOUNDED
+        self.parent: Optional["_Loop"] = None
+        self.children: List["_Loop"] = []
 
 
-def _mir_loops(mfn) -> Tuple[Dict[str, _MLoop], Dict[str, List[str]]]:
-    """Natural loops of a machine function, from real dominance over the
-    machine CFG (back edge = edge whose target dominates its source;
-    :func:`~repro.analysis.dominators._chk_idoms` reused through a name
-    graph, since machine blocks expose ``successors()`` as a method
-    rather than the IR property).
+def loop_forest(blocks, successors) -> Tuple[Dict[str, _Loop],
+                                             Dict[str, List[str]]]:
+    """Natural loops of a function given as its ``blocks`` (entry first)
+    and ``successors``, a function from a block to its successor blocks
+    (a method on machine blocks, a property on IR blocks).  Back edges
+    come from real dominance over the name graph (an edge whose target
+    dominates its source; :func:`~repro.analysis.dominators._chk_idoms`).
 
-    Returns ``(loops by header name, successor names by block name)``;
-    raises :class:`IrreducibleCFG` when a retreating edge is not a back
-    edge or the loops are not properly nested."""
+    Returns ``(loops by header name, successor names by block name)``,
+    each loop holding block names; raises :class:`IrreducibleCFG` when a
+    retreating edge is not a back edge or the loops are not properly
+    nested."""
     from .dominators import DominatorTree, _chk_idoms
 
-    preds: Dict[str, List[str]] = {block.name: [] for block in mfn.blocks}
+    preds: Dict[str, List[str]] = {block.name: [] for block in blocks}
     succs: Dict[str, List[str]] = {}
-    by_name = {block.name: block for block in mfn.blocks}
-    for block in mfn.blocks:
-        names = [succ.name for succ in block.successors()]
+    by_name = {block.name: block for block in blocks}
+    for block in blocks:
+        names = [succ.name for succ in successors(block)]
         succs[block.name] = names
         for name in names:
             preds[name].append(block.name)
-    entry_block = mfn.blocks[0]
+    entry_block = blocks[0]
 
     # Reverse postorder from the entry (unreachable blocks excluded),
     # depth-first over an explicit stack of successor iterators so deep
@@ -462,8 +471,8 @@ def _mir_loops(mfn) -> Tuple[Dict[str, _MLoop], Dict[str, List[str]]]:
     visited = {entry_block.name}
     stack = [(entry_block, iter(succs[entry_block.name]))]
     while stack:
-        block, successors = stack[-1]
-        for name in successors:
+        block, pending = stack[-1]
+        for name in pending:
             if name not in visited:
                 visited.add(name)
                 stack.append((by_name[name], iter(succs[name])))
@@ -479,7 +488,7 @@ def _mir_loops(mfn) -> Tuple[Dict[str, _MLoop], Dict[str, List[str]]]:
     )
     domtree = DominatorTree(idom, entry_block, rpo)
 
-    loops: Dict[str, _MLoop] = {}
+    loops: Dict[str, _Loop] = {}
     for block in rpo:
         for succ in succs[block.name]:
             if rpo_index.get(succ, len(rpo)) > rpo_index[block.name]:
@@ -489,8 +498,7 @@ def _mir_loops(mfn) -> Tuple[Dict[str, _MLoop], Dict[str, List[str]]]:
                     f"retreating edge {block.name} → {succ} whose target "
                     f"does not dominate its source"
                 )
-            loop = loops.setdefault(succ, _MLoop(succ))
-            loop.latches.add(block.name)
+            loop = loops.setdefault(succ, _Loop(succ))
             stack = [block.name]
             loop.blocks.add(block.name)
             while stack:
@@ -560,6 +568,24 @@ class _RegionProblem(DataflowProblem):
         return _join_into(existing, incoming)
 
 
+def _barrier(label: str, cost: float) -> PathSummary:
+    """An instruction that ends the open gap at ``label`` and charges
+    ``cost`` to the region it starts: a checkpoint (its commit cost, as
+    the emulator accounts ``region_cycles``), or at IR level a call whose
+    callee's entry checkpoint ends the gap."""
+    return PathSummary(None, {label: 0}, cost, {})
+
+
+def _splice(label: str, cost: float, callee: PathSummary) -> PathSummary:
+    """A call costing ``cost`` that splices in its callee's summary: the
+    callee's prefix to its first checkpoint ends the caller's gap at
+    ``label`` and its suffix opens the next (its interior gaps are
+    bounded in its own summary)."""
+    pre = {label: cost + max(callee.pre.values())} if callee.pre else {}
+    through = None if callee.through is None else cost + callee.through
+    return PathSummary(through, pre, callee.post, {})
+
+
 def _block_summary(block, costs: CostModel,
                    callee_summaries: Dict[str, PathSummary]) -> PathSummary:
     """Fold one machine block's instructions into a summary.
@@ -574,27 +600,17 @@ def _block_summary(block, costs: CostModel,
     for index, instr in enumerate(block.instructions):
         op = instr.opcode
         if op == "checkpoint":
-            label = f"{block.name}@{index}"
-            atom = PathSummary(None, {label: 0}, costs.checkpoint_cycles, {})
+            atom = _barrier(f"{block.name}@{index}", costs.checkpoint_cycles)
         elif op == "bl":
-            cost = costs.cost_of(instr) + costs.pipeline_refill
             callee = instr.ops[0]
             target = callee_summaries.get(callee)
             if target is None:
                 # Unknown or external callee: nothing is bounded.
                 atom = PathSummary(UNBOUNDED, {}, None, {})
             else:
-                pre = {}
-                if target.pre:
-                    pre[f"{block.name}@{index}:bl:{callee}"] = (
-                        cost + max(target.pre.values())
-                    )
-                atom = PathSummary(
-                    None if target.through is None else cost + target.through,
-                    pre,
-                    target.post,
-                    {},
-                )
+                atom = _splice(f"{block.name}@{index}:bl:{callee}",
+                               costs.cost_of(instr) + costs.pipeline_refill,
+                               target)
         elif op in ("b", "bcc", "bx_lr"):
             atom = PathSummary(costs.cost_of(instr) + costs.pipeline_refill)
         else:
@@ -603,7 +619,7 @@ def _block_summary(block, costs: CostModel,
     return summary
 
 
-def _condense(members, entry: str, loops: List[_MLoop],
+def _condense(members, entry: str, loops: List[_Loop],
               succs: Dict[str, List[str]],
               node_summaries: Dict[object, PathSummary],
               iteration: bool):
@@ -711,41 +727,46 @@ def _condense(members, entry: str, loops: List[_MLoop],
     return exit_summary, iteration_summary
 
 
-def _summarize_mfunction(mfn, costs: CostModel, trips: Dict[str, float],
-                         callee_summaries: Dict[str, PathSummary]):
-    """Whole-function path summary plus per-loop metadata."""
-    loops, succs = _mir_loops(mfn)
-    node_summaries: Dict[object, PathSummary] = {
-        block.name: _block_summary(block, costs, callee_summaries)
-        for block in mfn.blocks
-    }
+def _summarize(blocks, successors, block_summaries: Dict[str, PathSummary],
+               trips: Dict[str, float]):
+    """Whole-function path summary plus per-loop metadata: the one
+    summariser behind the machine certificate and the IR estimate.
+
+    ``blocks`` and ``successors`` are as for :func:`loop_forest`,
+    ``block_summaries`` maps each block name to its own summary, and
+    ``trips`` each loop-header name to its trip bound (missing:
+    :data:`UNBOUNDED`).  Loops collapse innermost-first into summary
+    nodes — the body iterated up to its trip bound, then one partial pass
+    to the exit edge — and the function body is solved over the
+    resulting DAG."""
+    loops, succs = loop_forest(blocks, successors)
+    node_summaries: Dict[object, PathSummary] = dict(block_summaries)
 
     loops_meta: List[Dict[str, object]] = []
     # Innermost first: children before parents.
     for loop in sorted(loops.values(), key=lambda l: len(l.blocks)):
-        loop.trips = trips.get(loop.header, UNBOUNDED)
-        members = [b.name for b in mfn.blocks if b.name in loop.blocks]
-        _exit, body = _condense(
+        bound = trips.get(loop.header, UNBOUNDED)
+        members = [b.name for b in blocks if b.name in loop.blocks]
+        partial, body = _condense(
             members, loop.header, loop.children, succs, node_summaries,
             iteration=True,
         )
         if body is None:
             raise IrreducibleCFG(f"loop at {loop.header} has no latch path")
-        checkpoint_free = body.through is not None
-        iterated = _power(body, max(loop.trips, 1))
-        partial = _exit  # one additional partial pass to the exit edge
-        summary = _seq(iterated, partial) if partial is not None else iterated
-        node_summaries[("loop", loop.header)] = summary
+        iterated = _power(body, max(bound, 1))
+        node_summaries[("loop", loop.header)] = (
+            _seq(iterated, partial) if partial is not None else iterated
+        )
         loops_meta.append({
             "header": loop.header,
-            "trip_bound": None if loop.trips == UNBOUNDED else int(loop.trips),
-            "checkpoint_free_iteration": checkpoint_free,
+            "trip_bound": None if bound == UNBOUNDED else int(bound),
+            "checkpoint_free_iteration": body.through is not None,
         })
 
-    members = [block.name for block in mfn.blocks]
+    members = [block.name for block in blocks]
     top_loops = [loop for loop in loops.values() if loop.parent is None]
     summary, _ = _condense(
-        members, mfn.blocks[0].name, top_loops, succs, node_summaries,
+        members, blocks[0].name, top_loops, succs, node_summaries,
         iteration=False,
     )
     if summary is None:
@@ -842,8 +863,11 @@ def certify_module_progress(
                 )
             else:
                 try:
-                    summary, loops_meta = _summarize_mfunction(
-                        mfn, costs, trip_bounds.get(fn.name, {}), summaries
+                    summary, loops_meta = _summarize(
+                        mfn.blocks, lambda block: block.successors(),
+                        {block.name: _block_summary(block, costs, summaries)
+                         for block in mfn.blocks},
+                        trip_bounds.get(fn.name, {}),
                     )
                 except IrreducibleCFG as exc:
                     summary = PathSummary(UNBOUNDED, {}, None, {})
@@ -922,8 +946,154 @@ def module_progress_verdict(certificates) -> str:
     )
 
 
+# ---------------------------------------------------------------------------
+# The IR estimate: the middle-end cost table and the elision bound
+# ---------------------------------------------------------------------------
+
+#: Rough middle-end cycle estimate of an opcode the table does not list
+#: (the back end expands some IR instructions into several machine ones).
+_DEFAULT_COST = 2
+
+
+def _derive_costs(model: CostModel) -> Dict[str, int]:
+    """Build the middle-end estimate table from the emulator's real
+    :class:`~repro.emulator.costs.CostModel`, so the two cannot silently
+    diverge (``tests/test_region_bound.py`` pins the parity).
+
+    The ``+`` terms are the back end's expansion overhead per IR op:
+    one address-materialising instruction around each memory access,
+    argument marshalling plus the taken-``bl`` refill around each call,
+    and the ``mul``/``sub`` fix-up pair the remainder lowering emits
+    after its division."""
+    base = model.base_costs
+    div = base["udiv"]
+    return {
+        "load": base["ldr"] + 1,
+        "store": base["str"] + 1,
+        # plus the callee, which is bounded separately
+        "call": base["bl"] + model.pipeline_refill + 4,
+        "udiv": div + 1,
+        "sdiv": base["sdiv"] + 1,
+        "urem": div + base["mul"] + base["sub"] + 2,
+        "srem": base["sdiv"] + base["mul"] + base["sub"] + 2,
+        "checkpoint": base["checkpoint"],  # charged as checkpoint_cycles
+        "phi": 0,
+    }
+
+
+_COSTS = _derive_costs(DEFAULT_COSTS)
+
+
+def ir_cost(instr) -> int:
+    """Estimated cycles of one middle-end instruction."""
+    return _COSTS.get(instr.opcode, _DEFAULT_COST)
+
+
+class IRProgress:
+    """Worst-case estimated checkpoint-free gap of a middle-end function,
+    with any of its checkpoints treated as absent.
+
+    The middle-end analogue of :func:`certify_module_progress`, on the
+    same summariser: per-block atoms over :func:`ir_cost`, loops
+    collapsed innermost-first under :func:`loop_trip_bounds`, transparent
+    callees spliced in bottom-up (they have no entry checkpoint, so their
+    interior joins the caller's open region), and opaque calls treated as
+    region boundaries — the convention of the region-bound pass
+    (:mod:`repro.core.region_bound`), which charges the same table.  A
+    recursive or irreducible shape yields :data:`UNBOUNDED`.
+    """
+
+    def __init__(self, function, summaries=None, arg_constants=None):
+        self.function = function
+        self.summaries = summaries
+        if arg_constants is None and function.parent is not None:
+            arg_constants = argument_constants(function.parent)
+        #: per-function constant-argument sets for trip-bound inference
+        #: (:func:`argument_constants`)
+        self.arg_constants = arg_constants or {}
+        self._callee_memo: Dict[str, PathSummary] = {}
+        self._trips_memo: Dict[str, Dict[str, float]] = {}
+        self._visiting: set = set()
+
+    def _trip_bounds(self, function) -> Dict[str, float]:
+        bounds = self._trips_memo.get(function.name)
+        if bounds is None:
+            bounds = loop_trip_bounds(
+                function, self.arg_constants.get(function.name)
+            )
+            self._trips_memo[function.name] = bounds
+        return bounds
+
+    def _callee_summary(self, callee) -> PathSummary:
+        summary = self._callee_memo.get(callee.name)
+        if summary is not None:
+            return summary
+        if callee.is_declaration or callee.name in self._visiting:
+            # external body or recursion: no finite composition
+            summary = PathSummary(UNBOUNDED, {}, None, {})
+        else:
+            self._visiting.add(callee.name)
+            try:
+                summary = self._summarize(callee, frozenset())
+            except IrreducibleCFG:
+                summary = PathSummary(UNBOUNDED, {}, None, {})
+            finally:
+                self._visiting.discard(callee.name)
+        self._callee_memo[callee.name] = summary
+        return summary
+
+    def _block_summary(self, block, ignore) -> PathSummary:
+        summary = PathSummary()
+        for index, instr in enumerate(block.instructions):
+            if isinstance(instr, Checkpoint):
+                if id(instr) in ignore:
+                    continue  # the abstractly-elided checkpoint is absent
+                atom = _barrier(f"{block.name}@{index}", ir_cost(instr))
+            elif isinstance(instr, Call):
+                if (self.summaries is not None
+                        and self.summaries.is_transparent_call(instr)):
+                    atom = _splice(
+                        f"{block.name}@{index}:call:{instr.callee.name}",
+                        ir_cost(instr), self._callee_summary(instr.callee),
+                    )
+                else:
+                    # opaque callee: its machine-level entry checkpoint
+                    # ends the caller's gap (region-bound's convention)
+                    atom = _barrier(f"{block.name}@{index}:call",
+                                    ir_cost(instr))
+            else:
+                atom = PathSummary(ir_cost(instr))
+            summary = _seq(summary, atom)
+        return summary
+
+    def _summarize(self, function, ignore) -> PathSummary:
+        summary, _loops = _summarize(
+            function.blocks, lambda block: block.successors,
+            {block.name: self._block_summary(block, ignore)
+             for block in function.blocks},
+            self._trip_bounds(function),
+        )
+        return summary
+
+    def worst_gap(self, ignore=frozenset()) -> float:
+        """The largest checkpoint-free bound anywhere in the function with
+        the ``ignore`` checkpoints (instruction ids) treated as absent
+        (:data:`UNBOUNDED` when any region has no structural bound)."""
+        try:
+            summary = self._summarize(self.function, frozenset(ignore))
+        except IrreducibleCFG:
+            return UNBOUNDED
+        bounds = list(summary.pre.values()) + list(summary.gaps.values())
+        if summary.post is not None:
+            bounds.append(summary.post)
+        if summary.through is not None:
+            bounds.append(summary.through)
+        return max(bounds) if bounds else 0.0
+
+
 __all__ = [
     "UNBOUNDED", "IrreducibleCFG", "PathSummary",
-    "argument_constants", "loop_trip_bounds", "certify_module_progress",
-    "progress_bound", "module_progress_verdict",
+    "argument_constants", "loop_trip_bounds", "loop_forest",
+    "certify_module_progress", "progress_bound", "module_progress_verdict",
+    "ir_cost", "IRProgress",
 ]

@@ -52,14 +52,13 @@ Interprocedural behaviour follows the instrumentation model:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..diagnostics import (
     LEVEL_IR,
     Diagnostic,
     DiagnosticEngine,
     ERROR,
-    WARNING,
 )
 from ..ir.instructions import Call, Checkpoint, Load, Store
 from .alias import AliasAnalysis, PRECISE
@@ -146,19 +145,28 @@ State = Dict[int, Tuple[object, int]]
 _merge = merge_flagged_facts
 
 
-class _FunctionWARAnalysis(DataflowProblem):
-    """One function's exposed-load dataflow plus the reporting pass.
+#: The kinds of a finding besides ``FORWARD``/``BACKWARD``, both only
+#: without entry checkpoints (``calls_are_checkpoints=False``): a store
+#: after a call that spans the region, and that call itself.
+AFTER_CALL = "after-call"
+CALL = "call"
+
+
+class RegionWARAnalysis(DataflowProblem):
+    """One function's exposed-load dataflow and its WAR findings.
 
     A forward may-analysis on the shared engine: the in-state seed is
     the empty fact map for every reachable block, facts union at joins,
     and a back edge tags everything it carries with ``BK``.
+    :meth:`findings` solves it and walks every block once more to name
+    the WARs; the WAR verifier, the idempotence certifier and the
+    elision trials (:mod:`repro.analysis.redundancy`) all read them.
 
     ``ignore`` is a set of instruction ids (checkpoints only) treated as
     absent: facts flow straight through them, so the analysis sees the
-    two adjacent regions *abstractly merged*.  The redundancy analysis
-    (:mod:`repro.analysis.redundancy`) uses this to ask "would the
-    module still verify if this checkpoint were elided?" without
-    mutating the IR."""
+    two adjacent regions *abstractly merged*.  The elision trials use
+    this to ask "would the module still verify if this checkpoint were
+    elided?" without mutating the IR."""
 
     def __init__(
         self,
@@ -179,20 +187,20 @@ class _FunctionWARAnalysis(DataflowProblem):
         self.in_states: Dict[int, State] = {id(b): {} for b in function.blocks}
 
     # -- transfer --------------------------------------------------------
-    def _transfer_block(self, block, state: State, report=None) -> State:
-        state = dict(state)
-        for idx, instr in enumerate(block.instructions):
+    def _walk(self, block, state: State, report: bool):
+        """Run ``block``'s transfer over ``state`` in place.  With
+        ``report``, yield ``(read, write, kind)`` for every exposed read
+        a write of the block may clobber, as the write is reached."""
+        for instr in block.instructions:
             if id(instr) in self.ignore and isinstance(instr, Checkpoint):
                 # abstract region merge: the elision candidate is absent
                 continue
             if _is_barrier(instr, self.calls_are_checkpoints, self.summaries):
+                # A checkpoint, or a call whose callee's entry checkpoint
+                # ends the region: the call's own reads/writes start a
+                # fresh one, and its exit checkpoint precedes any
+                # post-return access, so nothing is exposed after it.
                 state.clear()
-                if isinstance(instr, Call):
-                    # The callee's entry checkpoint ends the region, but the
-                    # call's own reads/writes then start a fresh one; model
-                    # the call result as nothing exposed (the callee's final
-                    # exit checkpoint precedes any post-return accesses).
-                    pass
                 continue
             if isinstance(instr, Call):
                 if self.calls_are_checkpoints:
@@ -200,30 +208,27 @@ class _FunctionWARAnalysis(DataflowProblem):
                     # its mod set inside the still-open region — check it
                     # against the exposed loads — then exposes its ref set
                     # as a read.
-                    if report is not None:
-                        for fact_instr, flags in list(state.values()):
-                            kind = self._war_kind(fact_instr, flags, instr)
-                            if kind is not None:
-                                report.war(fact_instr, flags, instr, kind)
-                else:
+                    if report:
+                        yield from self._clobbers(instr, state)
+                elif report and state:
                     # Region spans the call (plain build): report it against
                     # the open exposed loads, then treat the callee as having
                     # read arbitrary memory inside the still-open region.
-                    if report is not None and state:
-                        report.call_in_region(instr, block, idx, state)
+                    yield next(iter(state.values()))[0], instr, CALL
                 state[id(instr)] = (instr, state.get(id(instr), (instr, 0))[1] | FW)
                 continue
             if isinstance(instr, Load):
                 old = state.get(id(instr))
                 state[id(instr)] = (instr, (old[1] if old else 0) | FW)
                 continue
-            if isinstance(instr, Store):
-                if report is not None:
-                    for fact_instr, flags in list(state.values()):
-                        kind = self._war_kind(fact_instr, flags, instr)
-                        if kind is not None:
-                            report.war(fact_instr, flags, instr, kind)
-        return state
+            if isinstance(instr, Store) and report:
+                yield from self._clobbers(instr, state)
+
+    def _clobbers(self, write, state: State):
+        for read, flags in list(state.values()):
+            kind = self._war_kind(read, flags, write)
+            if kind is not None:
+                yield read, write, kind
 
     def _endpoint_objects(self, instr, want_mod: bool):
         """Objects a fact/store endpoint may touch (None = TOP)."""
@@ -239,7 +244,7 @@ class _FunctionWARAnalysis(DataflowProblem):
         """Does ``store`` (a Store, or a transparent Call standing in for
         its mod set) form a WAR with the exposed ``fact_instr``?"""
         if isinstance(fact_instr, Call) and not self.calls_are_checkpoints:
-            return "call"
+            return AFTER_CALL
         if isinstance(fact_instr, Call) or isinstance(store, Call):
             if fact_instr is store and not flags & BK:
                 # One execution of one call: the callee's internal
@@ -287,7 +292,10 @@ class _FunctionWARAnalysis(DataflowProblem):
         return {}
 
     def transfer(self, block, state: State) -> State:
-        return self._transfer_block(block, state)
+        state = dict(state)
+        for _finding in self._walk(block, state, report=False):
+            pass
+        return state
 
     def flow(self, out: State, block, succ, is_back: bool) -> State:
         if is_back:
@@ -300,15 +308,30 @@ class _FunctionWARAnalysis(DataflowProblem):
     def merge(self, existing: State, incoming: State, block) -> bool:
         return _merge(existing, incoming)
 
-    def run(self) -> None:
+    def findings(self):
+        """Solve the dataflow, then walk every block from its fixpoint
+        in-state and yield each WAR once, as ``(read, write, kind)``, in
+        program order.  Each is yielded as the walk reaches its write, so
+        a consumer that stops early stops the walk there.
+
+        ``read`` is a Load, or a Call (a transparent callee's ref set, or
+        without entry checkpoints a region-spanning call, which may have
+        read anything); ``write`` is a Store, or a Call (a transparent
+        callee's mod set, or for :data:`CALL` the region-spanning call,
+        ``read`` then being one exposed read before it).  ``kind`` is
+        ``FORWARD``, ``BACKWARD``, :data:`AFTER_CALL` or :data:`CALL`."""
         # Unreachable blocks are not solved (no path reaches them) but
-        # the reporting pass still walks them with an empty in-state, so
+        # the walk still visits them with an empty in-state, so
         # straight-line WARs inside dead code are still flagged.
         self.in_states.update(solve(self))
-
-    def report(self, reporter) -> None:
+        seen = set()
         for block in self.function.blocks:
-            self._transfer_block(block, self.in_states[id(block)], report=reporter)
+            state = dict(self.in_states[id(block)])
+            for read, write, kind in self._walk(block, state, report=True):
+                key = (id(read), id(write))
+                if key not in seen:
+                    seen.add(key)
+                    yield read, write, kind
 
 
 # ---------------------------------------------------------------------------
@@ -333,114 +356,71 @@ def describe_access(instr, aa: Optional[AliasAnalysis] = None) -> str:
     return f"%{name}" if name else "<unknown>"
 
 
-class _Reporter:
-    """Deduplicates findings across the reporting pass and turns them
-    into diagnostics."""
+def describe_endpoint(instr, aa: Optional[AliasAnalysis] = None) -> str:
+    """:func:`describe_access` of a load or store; a call as the call."""
+    if isinstance(instr, Call):
+        return f"call to '{instr.callee.name}'"
+    return describe_access(instr, aa)
 
-    def __init__(self, engine, function, aa, labels, seen):
-        self.engine = engine
-        self.function = function
-        self.aa = aa
-        self.labels = labels
-        self.seen = seen
 
-    def _region_of(self, load) -> str:
-        block = getattr(load, "parent", None)
-        if block is None:
-            return ""
-        return self.labels.get(id(block), "entry")
-
-    def _describe_endpoint(self, instr) -> str:
-        if isinstance(instr, Call):
-            return f"call to '{instr.callee.name}'"
-        return describe_access(instr, self.aa)
-
-    def war(self, load, flags: int, store, kind: str) -> None:
-        key = (id(load), id(store))
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        if kind == "call":
-            call = load
-            self.engine.emit(Diagnostic(
-                severity=ERROR,
-                code="war-after-call",
-                message=(
-                    f"store to {describe_access(store, self.aa)} follows a "
-                    f"call to '{call.callee.name}' in the same idempotent "
-                    f"region; the callee may already have read this "
-                    f"location"
-                ),
-                function=self.function.name,
-                region=self._region_of(call),
-                level=LEVEL_IR,
-                loc=getattr(store, "loc", None),
-                related=[(
-                    "region-spanning call is here",
-                    getattr(call, "loc", None),
-                )],
-            ))
-            return
+def _war_diagnostic(function, aa, labels, read, write, kind) -> Diagnostic:
+    """The ``war-*`` diagnostic of one :meth:`RegionWARAnalysis.findings`
+    finding."""
+    if kind == CALL:
+        message = (
+            f"call to '{write.callee.name}' inside an idempotent region "
+            f"with exposed reads: the callee may overwrite a location "
+            f"already read in this region (no entry checkpoint breaks "
+            f"the region in this configuration)"
+        )
+        related = [(
+            "a location is first read here",
+            getattr(read, "loc", None),
+        )] if isinstance(read, Load) else []
+    elif kind == AFTER_CALL:
+        message = (
+            f"store to {describe_access(write, aa)} follows a call to "
+            f"'{read.callee.name}' in the same idempotent region; the "
+            f"callee may already have read this location"
+        )
+        related = [("region-spanning call is here", getattr(read, "loc", None))]
+    else:
         where = {
             FORWARD: "later in the same idempotent region",
             BACKWARD: "in a later iteration of the same idempotent region",
         }[kind]
-        if isinstance(store, Call):
+        if isinstance(write, Call):
             store_clause = (
-                f"{self._describe_endpoint(store)} may overwrite (via its "
-                f"mod set) a location"
-            )
-        else:
-            store_clause = (
-                f"store to {describe_access(store, self.aa)} may overwrite "
+                f"{describe_endpoint(write)} may overwrite (via its mod set) "
                 f"a location"
             )
-        if isinstance(load, Call):
-            read_by = f"inside {self._describe_endpoint(load)} (its ref set)"
         else:
-            read_by = f"by load {describe_access(load, self.aa)}"
-        diag = Diagnostic(
-            severity=ERROR,
-            code=f"war-{kind}",
-            message=(
-                f"{store_clause} first read {where}; re-execution after a "
-                f"power failure would observe the new value"
-            ),
-            function=self.function.name,
-            region=self._region_of(load),
-            level=LEVEL_IR,
-            loc=getattr(store, "loc", None),
-            related=[(
-                f"location first read here {read_by}",
-                getattr(load, "loc", None),
-            )],
+            store_clause = (
+                f"store to {describe_access(write, aa)} may overwrite "
+                f"a location"
+            )
+        if isinstance(read, Call):
+            read_by = f"inside {describe_endpoint(read)} (its ref set)"
+        else:
+            read_by = f"by load {describe_access(read, aa)}"
+        message = (
+            f"{store_clause} first read {where}; re-execution after a "
+            f"power failure would observe the new value"
         )
-        self.engine.emit(diag)
-
-    def call_in_region(self, call, block, idx, state) -> None:
-        key = ("call", id(call))
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        sample = next(iter(state.values()))[0]
-        self.engine.emit(Diagnostic(
-            severity=ERROR,
-            code="war-call",
-            message=(
-                f"call to '{call.callee.name}' inside an idempotent region "
-                f"with exposed reads: the callee may overwrite a location "
-                f"already read in this region (no entry checkpoint breaks "
-                f"the region in this configuration)"
-            ),
-            function=self.function.name,
-            region=self._region_of(sample),
-            level=LEVEL_IR,
-            loc=getattr(call, "loc", None),
-            related=[(
-                "a location is first read here",
-                getattr(sample, "loc", None),
-            )] if isinstance(sample, Load) else [],
-        ))
+        related = [(
+            f"location first read here {read_by}",
+            getattr(read, "loc", None),
+        )]
+    return Diagnostic(
+        severity=ERROR,
+        code=f"war-{kind}",
+        message=message,
+        function=function.name,
+        region=labels.get(id(read.parent), "entry"),
+        level=LEVEL_IR,
+        loc=getattr(write, "loc", None),
+        related=related,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +440,12 @@ def verify_function_war(
     if engine is None:
         engine = DiagnosticEngine()
     aa = AliasAnalysis(function, alias_mode, points_to=points_to)
-    li = loop_info(function)
-    analysis = _FunctionWARAnalysis(
-        function, aa, li, calls_are_checkpoints, summaries
+    analysis = RegionWARAnalysis(
+        function, aa, loop_info(function), calls_are_checkpoints, summaries
     )
-    analysis.run()
     labels = region_labels(function, calls_are_checkpoints, summaries)
-    reporter = _Reporter(engine, function, aa, labels, set())
-    analysis.report(reporter)
+    for finding in analysis.findings():
+        engine.emit(_war_diagnostic(function, aa, labels, *finding))
     return engine
 
 
@@ -510,7 +488,8 @@ def verify_module_war(
 
 
 __all__ = [
-    "FW", "BK",
-    "describe_access", "retreating_edges", "region_labels",
-    "verify_function_war", "verify_module_war",
+    "FW", "BK", "AFTER_CALL", "CALL",
+    "RegionWARAnalysis",
+    "describe_access", "describe_endpoint", "retreating_edges",
+    "region_labels", "verify_function_war", "verify_module_war",
 ]

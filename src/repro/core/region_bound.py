@@ -9,66 +9,19 @@ straightforward version: estimate cycles along every path since the last
 checkpoint and insert a ``region-bound`` checkpoint wherever the estimate
 would exceed a budget.
 
-The estimate uses a static per-instruction cycle table, so the guarantee
-is approximate (back-end expansion adds spill/call/prologue cycles); use
-a safety margin when sizing the budget against a physical on-time.
+The estimate uses the middle end's static per-instruction cycle table
+(:func:`repro.analysis.progress.ir_cost`, which the elision pass's
+progress sub-proof charges too), so the guarantee is approximate (back-end
+expansion adds spill/call/prologue cycles); use a safety margin when
+sizing the budget against a physical on-time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..ir.instructions import (
-    CKPT_REGION_BOUND,
-    Call,
-    Checkpoint,
-    Load,
-    Phi,
-    Store,
-)
-
-#: Rough middle-end cycle estimates per instruction (the back end expands
-#: some of these into several machine instructions).
-_DEFAULT_COST = 2
-
-
-def _derive_costs(model) -> Dict[str, int]:
-    """Build the middle-end estimate table from the emulator's real
-    :class:`~repro.emulator.costs.CostModel`, so the two cannot silently
-    diverge (``tests/test_region_bound.py`` pins the parity).
-
-    The ``+`` terms are the back end's expansion overhead per IR op:
-    one address-materialising instruction around each memory access,
-    argument marshalling plus the taken-``bl`` refill around each call,
-    and the ``mul``/``sub`` fix-up pair the remainder lowering emits
-    after its division."""
-    base = model.base_costs
-    div = base["udiv"]
-    return {
-        "load": base["ldr"] + 1,
-        "store": base["str"] + 1,
-        # plus the callee, which is bounded separately
-        "call": base["bl"] + model.pipeline_refill + 4,
-        "udiv": div + 1,
-        "sdiv": base["sdiv"] + 1,
-        "urem": div + base["mul"] + base["sub"] + 2,
-        "srem": base["sdiv"] + base["mul"] + base["sub"] + 2,
-        "checkpoint": base["checkpoint"],  # charged as checkpoint_cycles
-        "phi": 0,
-    }
-
-
-def _default_costs() -> Dict[str, int]:
-    from ..emulator.costs import DEFAULT_COSTS
-
-    return _derive_costs(DEFAULT_COSTS)
-
-
-_COSTS = _default_costs()
-
-
-def _cost(instr) -> int:
-    return _COSTS.get(instr.opcode, _DEFAULT_COST)
+from ..analysis.progress import ir_cost
+from ..ir.instructions import CKPT_REGION_BOUND, Call, Checkpoint
 
 
 def bound_region_sizes(module, max_cycles: int, max_rounds: int = 10_000) -> int:
@@ -142,7 +95,7 @@ def _scan_block(block, gap: int, max_cycles: int) -> Optional[int]:
         if isinstance(instr, (Checkpoint, Call)):
             gap = 0
             continue
-        gap += _cost(instr)
+        gap += ir_cost(instr)
         if gap > max_cycles:
             return max(idx, block.first_insertion_index())
     return None
@@ -153,5 +106,5 @@ def _block_exit_gap(block, gap: int) -> int:
         if isinstance(instr, (Checkpoint, Call)):
             gap = 0
         else:
-            gap += _cost(instr)
+            gap += ir_cost(instr)
     return gap

@@ -163,13 +163,13 @@ class TestDecisionContract:
         from repro.analysis import static_war
 
         calls = []
-        real = static_war._FunctionWARAnalysis.report
+        real = static_war.RegionWARAnalysis.findings
 
-        def counting(self, reporter):
-            calls.append(reporter)
-            return real(self, reporter)
+        def counting(self):
+            calls.append(self)
+            return real(self)
 
-        monkeypatch.setattr(static_war._FunctionWARAnalysis, "report",
+        monkeypatch.setattr(static_war.RegionWARAnalysis, "findings",
                             counting)
         for ckpt in sha_trials.candidates():
             del calls[:]

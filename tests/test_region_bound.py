@@ -7,11 +7,8 @@ boundaries and must not attract extra checkpoints), and the
 
 import pytest
 
-from repro.core.region_bound import (
-    _COSTS,
-    _derive_costs,
-    bound_region_sizes,
-)
+from repro.analysis.progress import _COSTS, _derive_costs
+from repro.core.region_bound import bound_region_sizes
 from repro.emulator.costs import CostModel, DEFAULT_COSTS
 from repro.frontend import compile_source
 from repro.ir import verify_module
