@@ -75,12 +75,10 @@ class EnvironmentConfig:
     #: certificate-guided checkpoint elision
     #: (:mod:`repro.core.checkpoint_elim`): after insertion, elide every
     #: middle-end checkpoint whose merged region re-discharges all three
-    #: certification legs (WAR-freedom, idempotence, progress budget)
-    checkpoint_elim: bool = False
-    #: estimated-cycle cap for an elision-merged region (None: the
-    #: region-bound budget ``max_region_cycles`` if set, else
+    #: certification legs (WAR-freedom, idempotence, and a progress
+    #: budget of ``max_region_cycles`` if set, else
     #: :data:`repro.analysis.redundancy.DEFAULT_ELISION_BUDGET`)
-    elision_budget: Optional[int] = None
+    checkpoint_elim: bool = False
     #: TEST-ONLY fault seeding: force-elide the Nth middle-end
     #: checkpoint (program order, counted like ``drop_checkpoint``)
     #: without requiring its elision proofs to discharge.  The
@@ -203,7 +201,6 @@ _PUBLIC_CONFIG_FIELDS = (
     "write_clusterer", "expander", "spill_checkpoint_mode",
     "epilogue_style", "unroll_factor", "max_region_cycles",
     "volatile_cache", "call_summaries", "checkpoint_elim",
-    "elision_budget",
 )
 
 
@@ -327,7 +324,7 @@ def run_middle_end(
                 alias_mode=config.alias_mode,
                 summaries=summaries,
                 points_to=points_to,
-                budget=config.elision_budget or config.max_region_cycles,
+                budget=config.max_region_cycles,
                 force_unsafe=config.force_unsafe_elision,
             )
         if config.drop_checkpoint is not None:
