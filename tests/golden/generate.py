@@ -41,7 +41,10 @@ full-level lint verdict with its certificates.  Its ``grid`` section
 its ``wide`` section (:func:`wide_cells`) only by ``--check``, and so is
 its ``campaigns`` section (:func:`generate_campaigns`): the sha256 and
 per-verdict cell counts of the ``inject --quick``, ``--differential
---quick`` and ``--progress --quick`` JSON reports.
+--quick`` and ``--progress --quick`` JSON reports.  Its ``cli`` section
+(:func:`generate_cli`) holds the exit code and the sha256 of the output
+of each of :data:`CLI_INVOCATIONS`, so the CLI renderers stay pinned;
+``tests/test_manifest_golden.py`` recomputes it.
 
 Only regenerate a fixture when a *deliberate* change lands (new code,
 reworded message, a placement rule); never to paper over a parity
@@ -379,6 +382,70 @@ def generate_campaigns():
     }
 
 
+#: the program the ``cli`` section compiles and lints, as ``prog.c``
+CLI_SOURCE = """
+unsigned int acc[4]; unsigned int total;
+int main(void) {
+    int i; unsigned int t = 0;
+    for (i = 0; i < 4; i++) { acc[i] = acc[i] + 2; t += acc[i]; }
+    total = t;
+    return 0;
+}
+"""
+
+#: the ``repro`` command lines of the ``cli`` section; the output of one
+#: that writes ``-o listing.txt`` is that file, of the others their stdout
+CLI_INVOCATIONS = (
+    "compile prog.c --env wario -o listing.txt",
+    "compile prog.c --env ratchet",
+    "lint --benchmark crc --env wario --level ir --format json",
+    "lint prog.c --env plain --level ir --format json",
+    "envs -o json",
+    "analyze --benchmark crc --format json",
+)
+
+
+def cli_row(command):
+    """One ``cli`` row: the exit code of ``python -m repro <command>`` and
+    the sha256 of its output, run in process with the cache off from a
+    temporary directory holding :data:`CLI_SOURCE` as ``prog.c``, so no
+    absolute path reaches the output."""
+    import contextlib
+    import io
+    import tempfile
+
+    from repro.__main__ import main as repro_main
+
+    argv = command.split()
+    saved_cwd, saved_cache = os.getcwd(), os.environ.get("REPRO_CACHE")
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            os.chdir(directory)
+            os.environ["REPRO_CACHE"] = "0"
+            with open("prog.c", "w") as handle:
+                handle.write(CLI_SOURCE)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = repro_main(argv)
+            if "listing.txt" in argv:
+                with open("listing.txt", "rb") as handle:
+                    output = handle.read()
+            else:
+                output = stdout.getvalue().encode()
+        finally:
+            os.chdir(saved_cwd)
+            if saved_cache is None:
+                os.environ.pop("REPRO_CACHE", None)
+            else:
+                os.environ["REPRO_CACHE"] = saved_cache
+    return {"exit": code, "sha256": hashlib.sha256(output).hexdigest()}
+
+
+def generate_cli():
+    return {command: cli_row(command) for command in CLI_INVOCATIONS}
+
+
 def generate_manifest():
     manifest = {
         section: {key: manifest_row(program, config)
@@ -386,6 +453,7 @@ def generate_manifest():
         for section, cells in (("grid", grid_cells), ("wide", wide_cells))
     }
     manifest["campaigns"] = generate_campaigns()
+    manifest["cli"] = generate_cli()
     return manifest
 
 

@@ -39,3 +39,12 @@ def test_fixture_covers_every_cell():
 def test_manifest_row_matches_golden(key):
     program, config = GRID[key]
     assert GEN.manifest_row(program, config) == GOLDEN["grid"][key]
+
+
+@pytest.mark.parametrize("command", GEN.CLI_INVOCATIONS)
+def test_cli_output_matches_golden(command):
+    """The exit code and output bytes of each pinned ``repro`` command
+    line: the compile listing, lint diagnostics JSON, environment listing
+    and analysis report renderers."""
+    assert sorted(GOLDEN["cli"]) == sorted(GEN.CLI_INVOCATIONS)
+    assert GEN.cli_row(command) == GOLDEN["cli"][command]
