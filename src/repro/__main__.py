@@ -12,8 +12,6 @@ Usage::
     python -m repro cache stats -o json
     python -m repro bench --quick
     python -m repro envs -o json
-    python -m repro serve --port 9123
-    python -m repro loadtest --quick
 
 ``compile`` prints (or writes) a disassembly listing plus size/static
 statistics; ``run`` executes on the emulator and reports execution
@@ -25,12 +23,12 @@ precision-loss cause; ``inject`` runs the deterministic power-failure
 fault-injection campaign and differentially certifies crash consistency
 against the continuous-power oracle (exit 0 certified, 1 findings, 2
 campaign failure — see ``docs/FAULT_INJECTION.md``); ``cache`` inspects
-or clears the content-addressed compile cache; ``bench`` measures the toolchain's own performance (see
-``docs/PERFORMANCE.md``); ``envs`` lists the available software
-environments; ``serve`` runs the long-lived compiler-as-a-service
-(JSON over TCP — see ``docs/SERVING.md``); ``loadtest`` drives a
-concurrent mixed workload against it and reports throughput, latency
-percentiles, cache hit rate, and dedup counts.
+or clears the content-addressed compile cache; ``bench`` measures the
+toolchain's own performance (see ``docs/PERFORMANCE.md``); ``envs``
+lists the available software environments.  The golden manifest's
+``cli`` section (``tests/golden/generate.py``) pins the output bytes of
+the ``compile``, ``lint --format json``, ``analyze --format json`` and
+``envs -o json`` renderers.
 """
 
 from __future__ import annotations
@@ -193,64 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
     envs_p = sub.add_parser("envs", help="list the software environments")
     envs_p.add_argument("-o", "--format", dest="format",
                         choices=("text", "json"), default="text",
-                        help="output format (json is the machine-readable "
-                             "listing the pipeline server also returns)")
+                        help="output format (json lists every public "
+                             "config field of each environment)")
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="long-lived compile/analysis server (JSON over TCP, see "
-             "docs/SERVING.md)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=9123,
-                         help="TCP port (0 = pick a free port)")
-    serve_p.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS or "
-                              "the CPU count)")
-    serve_p.add_argument("--cache-dir", default=None,
-                         help="shared artifact cache directory (default: "
-                              "REPRO_CACHE_DIR or ~/.cache/repro)")
-    serve_p.add_argument("--timeout", type=float, default=300.0,
-                         help="per-request wall-clock limit in seconds")
-    serve_p.add_argument("--retries", type=int, default=1,
-                         help="crash-recovery retries per request")
-    serve_p.add_argument("--announce", action="store_true",
-                         help="print a JSON line with the bound host/port "
-                              "once serving (used by the load generator)")
-
-    loadtest_p = sub.add_parser(
-        "loadtest",
-        help="drive a concurrent mixed workload against the pipeline "
-             "server and report throughput/latency/cache/dedup numbers",
-    )
-    loadtest_p.add_argument("--quick", action="store_true",
-                            help="CI-sized workload (crc+sha x "
-                                 "wario+ratchet)")
-    loadtest_p.add_argument("--host", default=None,
-                            help="target a running server instead of "
-                                 "spawning one")
-    loadtest_p.add_argument("--port", type=int, default=None)
-    loadtest_p.add_argument("--clients", type=int, default=4,
-                            help="concurrent client connections")
-    loadtest_p.add_argument("--jobs", type=int, default=None,
-                            help="spawned server's worker count")
-    loadtest_p.add_argument("--cache-dir", default=None,
-                            help="spawned server's cache directory "
-                                 "(default: a fresh temp dir — a true "
-                                 "cold start)")
-    loadtest_p.add_argument("--bench", action="append", default=None,
-                            metavar="NAME", help="benchmark to include "
-                                                 "(repeatable)")
-    loadtest_p.add_argument("--env", action="append", default=None,
-                            metavar="NAME",
-                            help="environment to include (repeatable)")
-    loadtest_p.add_argument("--timeout", type=float, default=120.0,
-                            help="per-request timeout in seconds")
-    loadtest_p.add_argument("--no-probes", action="store_true",
-                            help="skip the dedup and crash probes")
-    loadtest_p.add_argument("-o", "--output", default=None,
-                            help="standalone report path (default: merge "
-                                 "under 'loadtest' in BENCH_<rev>.json)")
     return parser
 
 
@@ -290,8 +233,8 @@ def _cmd_compile(args) -> int:
     if program is None:
         return EXIT_COMPILE_FAILED
     checkpoints = sum(1 for i in program.instrs if i.opcode == "checkpoint")
-    # shared renderer: the server's ``compile`` listing must be
-    # byte-identical to this output (tests/test_serve_parity.py)
+    # the same bytes go to stdout and to -o (pinned by the golden
+    # manifest's ``cli`` section)
     text = render_compile_listing(program, args.env)
     if args.output:
         with open(args.output, "w") as handle:
@@ -371,8 +314,8 @@ def _cmd_lint(args) -> int:
     if args.format == "sarif":
         print(render_sarif(diagnostics))
     elif args.format == "json":
-        # shared renderer (deterministic order): byte-identical to the
-        # server's ``lint`` diagnostics_json payload
+        # deterministic order, pinned by the golden manifest's ``cli``
+        # section
         from .core.lint import diagnostics_json
 
         print(diagnostics_json(results))
@@ -407,8 +350,7 @@ def _cmd_lint(args) -> int:
 def _cmd_analyze(args) -> int:
     import json
 
-    # shared report builder: the server's ``analyze`` request returns
-    # exactly this structure (tests/test_serve_parity.py)
+    # the JSON report is pinned by the golden manifest's ``cli`` section
     from .core.analyze import analyze_report, render_report_text
 
     if bool(args.sources) == bool(args.benchmark):
@@ -432,8 +374,8 @@ def _cmd_envs(args) -> int:
     if getattr(args, "format", "text") == "json":
         import json
 
-        # shared payload builder: identical to the server's ``envs``
-        # response (machine-readable environment listing)
+        # the machine-readable environment listing, pinned by the
+        # golden manifest's ``cli`` section
         from .core.pipeline import environments_payload
 
         print(json.dumps(environments_payload(), indent=2))
@@ -584,51 +526,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from .serve.server import ServerConfig, serve_forever
-
-    serve_forever(ServerConfig(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        request_timeout=args.timeout,
-        max_retries=args.retries,
-        announce=args.announce,
-    ))
-    return 0
-
-
-def _cmd_loadtest(args) -> int:
-    from .serve.loadtest import LoadtestConfig, render_report, run_loadtest
-
-    config = LoadtestConfig(
-        quick=args.quick,
-        host=args.host,
-        port=args.port,
-        clients=args.clients,
-        benches=tuple(args.bench) if args.bench else None,
-        envs=tuple(args.env) if args.env else None,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        output=args.output,
-        request_timeout=args.timeout,
-        dedup_probe=not args.no_probes,
-        crash_probe=not args.no_probes,
-    )
-    report, path = run_loadtest(config)
-    print(render_report(report))
-    print(f"wrote {path}")
-    failed = report["errors"] > 0
-    probe = report.get("dedup_probe")
-    if probe is not None and not probe["passed"]:
-        failed = True
-    crash = report.get("crash_probe")
-    if crash is not None and not crash.get("survived"):
-        failed = True
-    return 1 if failed else 0
-
-
 def _cmd_bench(args) -> int:
     from .bench import render_report, run_bench
 
@@ -654,10 +551,6 @@ def main(argv=None) -> int:
         return _cmd_cache(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
     return _cmd_envs(args)
 
 

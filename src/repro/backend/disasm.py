@@ -81,9 +81,8 @@ def disassemble(program: Program, start: int = 0, count: Optional[int] = None) -
 
 def render_compile_listing(program: Program, env_name: str) -> str:
     """The canonical ``repro compile`` artifact: environment summary line
-    plus the full listing.  Shared by the CLI (stdout / ``-o`` file) and
-    the ``compile`` request of :mod:`repro.serve` so the two are
-    byte-identical."""
+    plus the full listing, written to stdout or to the ``-o`` file (the
+    golden manifest's ``cli`` section pins both)."""
     checkpoints = sum(1 for i in program.instrs if i.opcode == "checkpoint")
     summary = f"; environment: {env_name}, static checkpoints: {checkpoints}\n"
     return summary + disassemble(program) + "\n"

@@ -39,7 +39,7 @@ class VerificationError(AssertionError):
     pass
 
 
-_PROGRAM_CACHE: Dict[Tuple[str, str, int, str], Program] = {}
+_PROGRAM_CACHE: Dict[Tuple[str, str, int], Program] = {}
 
 
 def clear_program_memo() -> None:
@@ -48,37 +48,19 @@ def clear_program_memo() -> None:
     _PROGRAM_CACHE.clear()
 
 
-def _memo_token(cache) -> str:
-    """The memo partition for a cache policy.
-
-    The in-process memo must be keyed by the *backing store* as well as
-    the cell: a long-lived server worker can be asked to compile the
-    same benchmark against a different cache directory than whatever the
-    process memoised earlier (fork-inherited state included), and
-    handing out a program memoised under another store would silently
-    cross the stores' artifact spaces.  ``cache=False`` skips the disk
-    but shares the default partition — compilation is deterministic, so
-    the object is interchangeable, and ``repro bench`` clears the memo
-    explicitly when it needs a truly cold compile.
-    """
-    from ..cache import resolve_cache
-
-    store = resolve_cache(None if cache is False else cache)
-    return store.directory if store is not None else "nocache"
-
-
 def compile_benchmark(
     bench: Benchmark, env: str, unroll_factor: Optional[int] = None, cache=None
 ) -> Program:
     """Compile (with caching — programs are immutable across runs).
 
     Two layers: an in-process memo keyed on (benchmark, environment,
-    unroll, backing store), and — through ``iclang`` — the
-    content-addressed on-disk :mod:`repro.cache` shared across
-    processes.  ``cache`` follows the :func:`repro.cache.resolve_cache`
-    convention.
+    unroll), and — through ``iclang`` — the content-addressed on-disk
+    :mod:`repro.cache` shared across processes.  Compilation is
+    deterministic, so a memoised program serves every ``cache`` policy;
+    :func:`clear_program_memo` forces a cold compile.  ``cache`` follows
+    the :func:`repro.cache.resolve_cache` convention.
     """
-    key = (bench.name, env, unroll_factor or 0, _memo_token(cache))
+    key = (bench.name, env, unroll_factor or 0)
     program = _PROGRAM_CACHE.get(key)
     if program is None:
         program = iclang(bench.source, env, unroll_factor=unroll_factor,

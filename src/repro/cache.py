@@ -56,7 +56,7 @@ from typing import Any, Dict, Optional
 #: the source fingerprint below.
 COMPILER_VERSION_TAG = "wario-toolchain-1"
 
-#: Static-analysis schema tag, mixed into ``lint``/``analyze`` keys on
+#: Static-analysis schema tag, mixed into ``lint`` keys on
 #: top of the toolchain tag.  Bump when the *meaning* of a cached
 #: verdict changes without a code change that the source fingerprint
 #: would catch — e.g. a certificate schema revision or a new default
@@ -173,20 +173,6 @@ def lint_key(sources, config, name: str = "program",
                    f"budget={budget}", *sources)
 
 
-def analyze_key(sources, config, name: str = "program") -> str:
-    """Key of one interprocedural-analysis report (``repro analyze``).
-
-    Analysis verdicts are pure functions of the sources, the environment
-    config (alias mode), and the toolchain — keying them like lint
-    verdicts lets the pipeline server serve repeated ``analyze``
-    requests from the store.
-    """
-    if isinstance(sources, str):
-        sources = [sources]
-    return _digest("analyze", ANALYSIS_VERSION_TAG, name, repr(config),
-                   *sources)
-
-
 def inject_key(program_key: str, schedule, war_check: bool,
                max_instructions: int, cost_model_repr: str,
                interrupt_interval=None) -> str:
@@ -250,9 +236,8 @@ class CacheReport:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form (``repro cache stats -o json`` and the serving
-        metrics): on-disk entry counts plus this process's live
-        hit/miss/store counters."""
+        """JSON-safe form (``repro cache stats -o json``): on-disk entry
+        counts plus this process's live hit/miss/store counters."""
         looked_up = self.hits + self.misses
         return {
             "directory": self.directory,
@@ -411,7 +396,7 @@ def resolve_cache(cache=None) -> Optional[CompileCache]:
 __all__ = [
     "ANALYSIS_VERSION_TAG", "COMPILER_VERSION_TAG", "CacheReport",
     "CompileCache",
-    "analyze_key", "cache_enabled", "compile_key", "default_cache_dir",
+    "cache_enabled", "compile_key", "default_cache_dir",
     "get_cache", "inject_key", "lint_key", "reset_cache", "resolve_cache",
     "run_key", "source_fingerprint", "version_tag",
 ]

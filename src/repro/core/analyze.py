@@ -1,10 +1,9 @@
 """``repro analyze`` as a library: points-to sets, mod/ref summaries,
 and precision-loss causes as one JSON-safe report.
 
-Factored out of the CLI so the ``analyze`` request of
-:mod:`repro.serve` returns exactly the structure ``python -m repro
-analyze --format json`` prints — the parity tests compare them
-byte-for-byte.
+``python -m repro analyze`` prints :func:`analyze_report` as JSON
+(``--format json``, pinned by the golden manifest's ``cli`` section) or
+through :func:`render_report_text`.
 """
 
 from __future__ import annotations

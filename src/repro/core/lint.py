@@ -241,9 +241,9 @@ def lint_sources(
 def diagnostics_json(results: List[LintResult]) -> str:
     """All results' diagnostics as one deterministic JSON document.
 
-    Sorted by (file, line, code) so CI diffs are stable across runs —
-    and shared by ``repro lint --format json`` and the ``lint`` request
-    of :mod:`repro.serve`, which must be byte-identical.
+    Sorted by (file, line, code) so CI diffs are stable across runs;
+    ``repro lint --format json`` prints it (pinned by the golden
+    manifest's ``cli`` section).
     """
     from ..diagnostics import render_json
 

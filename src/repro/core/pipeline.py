@@ -193,9 +193,8 @@ ENVIRONMENTS: Dict[str, EnvironmentConfig] = {
 
 
 #: the EnvironmentConfig fields surfaced by the machine-readable
-#: environment listing (``repro envs -o json`` and the server's ``envs``
-#: request); TEST-ONLY fault-seeding knobs are deliberately excluded —
-#: no named environment ever sets them
+#: environment listing (``repro envs -o json``); TEST-ONLY fault-seeding
+#: knobs are deliberately excluded — no named environment ever sets them
 _PUBLIC_CONFIG_FIELDS = (
     "name", "instrument", "alias_mode", "loop_write_clusterer",
     "write_clusterer", "expander", "spill_checkpoint_mode",

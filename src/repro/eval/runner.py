@@ -165,9 +165,6 @@ class RunResult:
     stats: ExecutionStats
     program: Program
     outputs_ok: bool = True
-    #: the emulation result was served from the disk run-cache (the
-    #: pipeline server reports this as the cell's cache-hit flag)
-    from_cache: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +179,8 @@ def execute_cell(cell: Cell, war_check: bool, cache=None) -> RunResult:
     same object lands in ``RunResult.program`` for the code-size tables.
     Emulation results are cached under a ``run-`` key derived from the
     program's own content address, the power key, and the WAR-check flag.
-    Also the execution primitive behind the pipeline server's ``eval``
-    request (:mod:`repro.serve.jobs`).
+    :class:`ExperimentRunner` calls it in process from ``run`` and a
+    serial ``prefetch``, and in pool workers from a parallel one.
     """
     bench = BENCHMARKS[cell.bench]
     unroll = cell.unroll or None
@@ -201,7 +198,7 @@ def execute_cell(cell: Cell, war_check: bool, cache=None) -> RunResult:
         )
         stats = store.get(rkey)
         if stats is not None:
-            return RunResult(stats=stats, program=program, from_cache=True)
+            return RunResult(stats=stats, program=program)
     _, stats = run_benchmark(
         bench,
         cell.env,

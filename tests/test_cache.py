@@ -212,8 +212,8 @@ def test_concurrent_writers_one_winner_no_torn_reads(tmp_path):
     reader observes one of the complete payloads byte-for-byte — never a
     torn or interleaved entry — and no temp files leak.
 
-    This is the property the pipeline server's shared artifact layer
-    leans on: its pool workers all write through one directory.
+    This is the property the parallel evaluator and the fault-injection
+    campaign lean on: their pool workers all write through one directory.
     """
     key = "program-race"
     writer = (
@@ -282,18 +282,6 @@ def test_live_counters_and_report_dict(tmp_path):
     assert payload["hit_rate"] == 0.5
     assert payload["by_kind"] == {"program": 1}
     assert payload["directory"] == cache.directory
-
-
-def test_analyze_key_is_distinct_and_stable():
-    from repro.cache import analyze_key
-
-    config = ENVIRONMENTS["wario-summaries"]
-    key = analyze_key(SRC, config)
-    assert key.startswith("analyze-")
-    assert key == analyze_key(SRC, config)
-    assert key != analyze_key(SRC + " ", config)
-    assert key != analyze_key(SRC, config, name="other")
-    assert key != lint_key(SRC, config)
 
 
 def test_lint_results_are_cached(tmp_path):
