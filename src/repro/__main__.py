@@ -14,12 +14,12 @@ Usage::
     python -m repro envs -o json
 
 ``compile`` prints (or writes) a disassembly listing plus size/static
-statistics; ``run`` executes on the emulator and reports execution
 statistics (both exit 2 when the program fails to compile, as ``lint``
-does); ``lint`` statically certifies WAR-freedom (exit 0 clean,
+does, and ``run`` also on a bad ``--power`` or ``--print-globals``
+value); ``lint`` statically certifies WAR-freedom (exit 0 clean,
 1 diagnostics of severity error, 2 compile failure); ``analyze`` dumps
 the interprocedural points-to sets, mod/ref summaries and every
-precision-loss cause; ``inject`` runs the deterministic power-failure
+precision-loss cause (exit 2 on a compile failure); ``inject`` runs the deterministic power-failure
 fault-injection campaign and differentially certifies crash consistency
 against the continuous-power oracle (exit 0 certified, 1 findings, 2
 campaign failure — see ``docs/FAULT_INJECTION.md``); ``cache`` inspects
@@ -198,13 +198,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _power_from(spec):
+    """The supply ``--power`` names; a ``ValueError`` names a bad one."""
     if spec is None or spec == "continuous":
         return None
     if spec == "trace-a":
         return trace_a()
     if spec == "trace-b":
         return trace_b()
-    return FixedPeriodPower(int(spec))
+    try:
+        return FixedPeriodPower(int(spec))
+    except ValueError:  # not an integer, or not a positive one
+        raise ValueError(
+            f"bad --power value {spec!r}: expected 'continuous', "
+            "'trace-a', 'trace-b' or a positive cycle count"
+        ) from None
+
+
+def _globals_from(spec, program):
+    """``(name, count)`` of each ``--print-globals`` entry; a
+    ``ValueError`` names the first entry ``program`` cannot print."""
+    entries = []
+    for entry in spec.split(","):
+        name, _, count = entry.partition(":")
+        name = name.strip()
+        if name not in program.global_addr:
+            raise ValueError(f"bad --print-globals entry {entry!r}: "
+                             f"the program has no global {name!r}")
+        try:
+            entries.append((name, int(count) if count else 1))
+        except ValueError:
+            raise ValueError(f"bad --print-globals entry {entry!r}: "
+                             f"{count!r} is not an element count") from None
+    return entries
 
 
 def _read_sources(paths):
@@ -233,8 +258,8 @@ def _cmd_compile(args) -> int:
     if program is None:
         return EXIT_COMPILE_FAILED
     checkpoints = sum(1 for i in program.instrs if i.opcode == "checkpoint")
-    # the same bytes go to stdout and to -o (pinned by the golden
-    # manifest's ``cli`` section)
+    # to stdout or to -o, both pinned by the golden manifest's ``cli``
+    # section
     text = render_compile_listing(program, args.env)
     if args.output:
         with open(args.output, "w") as handle:
@@ -247,8 +272,19 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    try:
+        power = _power_from(args.power)
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return EXIT_COMPILE_FAILED
     program = _compile("run", args)
     if program is None:
+        return EXIT_COMPILE_FAILED
+    try:
+        shown = (_globals_from(args.print_globals, program)
+                 if args.print_globals else [])
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
         return EXIT_COMPILE_FAILED
     machine = Machine(
         program,
@@ -256,9 +292,8 @@ def _cmd_run(args) -> int:
         interrupt_interval=args.interrupt_interval,
     )
     try:
-        stats = machine.run(
-            power=_power_from(args.power), max_instructions=args.max_instructions
-        )
+        stats = machine.run(power=power,
+                            max_instructions=args.max_instructions)
     except EmulationError as exc:
         print(f"execution aborted: {exc}")
         return 1
@@ -274,11 +309,8 @@ def _cmd_run(args) -> int:
             for violation in machine.war.violations[:5]:
                 print(f"  {violation}")
             return 1
-    if args.print_globals:
-        for spec in args.print_globals.split(","):
-            name, _, count = spec.partition(":")
-            value = machine.read_global(name.strip(), int(count) if count else 1)
-            print(f"@{name.strip()} = {value}")
+    for name, count in shown:
+        print(f"@{name} = {machine.read_global(name, count)}")
     return 0
 
 
@@ -356,13 +388,17 @@ def _cmd_analyze(args) -> int:
     if bool(args.sources) == bool(args.benchmark):
         print("analyze: pass either source files or --benchmark NAME",
               file=sys.stderr)
-        return 2
-    if args.benchmark:
-        report = analyze_report(env=args.env, benchmark=args.benchmark)
-    else:
-        report = analyze_report(env=args.env,
-                                sources=_read_sources(args.sources),
-                                name=args.sources[0])
+        return EXIT_COMPILE_FAILED
+    try:
+        if args.benchmark:
+            report = analyze_report(env=args.env, benchmark=args.benchmark)
+        else:
+            report = analyze_report(env=args.env,
+                                    sources=_read_sources(args.sources),
+                                    name=args.sources[0])
+    except Exception as exc:  # front/middle end rejected the program
+        print(f"analyze: compilation failed: {exc}", file=sys.stderr)
+        return EXIT_COMPILE_FAILED
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:

@@ -108,7 +108,7 @@ class TestCLI:
         listing = open(out_path).read()
         assert "main:" in listing
 
-    @pytest.mark.parametrize("verb", ["compile", "run"])
+    @pytest.mark.parametrize("verb", ["compile", "run", "analyze"])
     @pytest.mark.parametrize("source, message", [
         ("int main(void) { return x; }", "unknown identifier 'x'"),
         ("int main(void) { return 1 +; }", "unexpected token ';'"),
@@ -123,6 +123,36 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"{verb}: compilation failed: ")
         assert message in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["missing.c"], "No such file or directory"),
+        (["--benchmark", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["prog.c", "--env", "nosuch"], "unknown environment 'nosuch'"),
+    ])
+    def test_analyze_bad_input_is_reported(self, args, message, source_file,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(os.path.dirname(source_file))
+        assert main(["analyze"] + args) == EXIT_COMPILE_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("analyze: compilation failed: ")
+        assert message in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--power", "bogus"),
+        ("--power", "0"),
+        ("--power", "-5"),
+        ("--print-globals", "nosuch"),
+        ("--print-globals", "acc:x"),
+    ])
+    def test_run_rejects_bad_value_before_emulating(self, option, value,
+                                                    source_file, capsys):
+        assert main(["run", source_file, option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""          # nothing was emulated
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"run: bad {option} ")
+        assert repr(value) in lines[0]
 
     def test_unroll_override(self, source_file, capsys):
         assert main(["compile", source_file, "--env", "wario", "--unroll", "2"]) == 0
