@@ -14,21 +14,23 @@ Usage::
     python -m repro envs -o json
 
 ``compile`` prints (or writes) a disassembly listing plus size/static
+statistics; ``run`` executes on the emulator and reports execution
 statistics (both exit 2 when the program fails to compile, as ``lint``
 does, and ``run`` also on a bad ``--power`` or ``--print-globals``
 value); ``lint`` statically certifies WAR-freedom (exit 0 clean,
 1 diagnostics of severity error, 2 compile failure); ``analyze`` dumps
 the interprocedural points-to sets, mod/ref summaries and every
-precision-loss cause (exit 2 on a compile failure); ``inject`` runs the deterministic power-failure
-fault-injection campaign and differentially certifies crash consistency
-against the continuous-power oracle (exit 0 certified, 1 findings, 2
-campaign failure — see ``docs/FAULT_INJECTION.md``); ``cache`` inspects
-or clears the content-addressed compile cache; ``bench`` measures the
-toolchain's own performance (see ``docs/PERFORMANCE.md``); ``envs``
-lists the available software environments.  The golden manifest's
-``cli`` section (``tests/golden/generate.py``) pins the output bytes of
-the ``compile``, ``lint --format json``, ``analyze --format json`` and
-``envs -o json`` renderers.
+precision-loss cause (exit 2 on a compile failure); ``inject`` runs the
+deterministic power-failure fault-injection campaign and differentially
+certifies crash consistency against the continuous-power oracle (exit 0
+certified, 1 findings, 2 campaign failure — see
+``docs/FAULT_INJECTION.md``); ``cache`` inspects or clears the
+content-addressed compile cache; ``bench`` measures the toolchain's own
+performance (see ``docs/PERFORMANCE.md``); ``envs`` lists the available
+software environments.  The golden manifest's ``cli`` section
+(``tests/golden/generate.py``) pins the output bytes of the ``compile``,
+``lint --format json``, ``analyze --format json`` and ``envs -o json``
+renderers.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _globals_from(spec, program):
     """``(name, count)`` of each ``--print-globals`` entry; a
     ``ValueError`` names the first entry ``program`` cannot print."""
     entries = []
-    for entry in spec.split(","):
+    for entry in spec.split(",") if spec else ():
         name, _, count = entry.partition(":")
         name = name.strip()
         if name not in program.global_addr:
@@ -272,17 +274,12 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        power = _power_from(args.power)
-    except ValueError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_COMPILE_FAILED
     program = _compile("run", args)
     if program is None:
         return EXIT_COMPILE_FAILED
     try:
-        shown = (_globals_from(args.print_globals, program)
-                 if args.print_globals else [])
+        power = _power_from(args.power)
+        shown = _globals_from(args.print_globals, program)
     except ValueError as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_COMPILE_FAILED

@@ -413,20 +413,21 @@ def cli_row(command):
     import contextlib
     import io
     import tempfile
+    from unittest import mock
 
     from repro.__main__ import main as repro_main
 
     argv = command.split()
-    saved_cwd, saved_cache = os.getcwd(), os.environ.get("REPRO_CACHE")
-    with tempfile.TemporaryDirectory() as directory:
+    cwd = os.getcwd()
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.dict(os.environ, {"REPRO_CACHE": "0"}):
+        os.chdir(directory)
         try:
-            os.chdir(directory)
-            os.environ["REPRO_CACHE"] = "0"
             with open("prog.c", "w") as handle:
                 handle.write(CLI_SOURCE)
-            stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
+                    contextlib.redirect_stderr(io.StringIO()):
                 code = repro_main(argv)
             if "listing.txt" in argv:
                 with open("listing.txt", "rb") as handle:
@@ -434,11 +435,7 @@ def cli_row(command):
             else:
                 output = stdout.getvalue().encode()
         finally:
-            os.chdir(saved_cwd)
-            if saved_cache is None:
-                os.environ.pop("REPRO_CACHE", None)
-            else:
-                os.environ["REPRO_CACHE"] = saved_cache
+            os.chdir(cwd)
     return {"exit": code, "sha256": hashlib.sha256(output).hexdigest()}
 
 
