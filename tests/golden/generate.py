@@ -41,7 +41,11 @@ full-level lint verdict with its certificates.  Its ``grid`` section
 its ``wide`` section (:func:`wide_cells`) only by ``--check``, and so is
 its ``campaigns`` section (:func:`generate_campaigns`): the sha256 and
 per-verdict cell counts of the ``inject --quick``, ``--differential
---quick`` and ``--progress --quick`` JSON reports.  Its ``cli`` section
+--quick`` and ``--progress --quick`` JSON reports.  Its ``seeded``
+section (:func:`seeded_cells`) pins the full-level verdict and error
+codes of every instrumented cell that violates WAR-freedom on purpose,
+so the certifiers' violated paths stay pinned too;
+``tests/test_manifest_golden.py`` recomputes it.  Its ``cli`` section
 (:func:`generate_cli`) holds the exit code and the sha256 of the output
 of each of :data:`CLI_INVOCATIONS`, so the CLI renderers stay pinned;
 ``tests/test_manifest_golden.py`` recomputes it.
@@ -110,6 +114,18 @@ def _cases():
                    epilogue_style="plain"), None)
 
 
+def case_build(sources, config, mutate):
+    """The build of one seeded-bug configuration: ``mutate`` (when set)
+    edits the IR between the middle end and lowering."""
+    module = compile_sources(sources, "golden")
+    verify_module(module)
+    if mutate is None:
+        return build(module, config)
+    summaries = run_middle_end(module, config)
+    mutate(module)
+    return lower(module, config, summaries)
+
+
 def case_diagnostics(sources, config, mutate):
     """Lint one seeded-bug configuration; diagnostics in emission order.
 
@@ -117,14 +133,7 @@ def case_diagnostics(sources, config, mutate):
     byte-for-byte across refactors, so the idempotence certifier's
     additional ``certify``-level diagnostics must stay out of it.
     """
-    module = compile_sources(sources, "golden")
-    verify_module(module)
-    if mutate is None:
-        result = certify(build(module, config), level="mir")
-    else:
-        summaries = run_middle_end(module, config)
-        mutate(module)
-        result = certify(lower(module, config, summaries), level="mir")
+    result = certify(case_build(sources, config, mutate), level="mir")
     return [d.to_dict() for d in result.engine.diagnostics]
 
 
@@ -341,6 +350,40 @@ def manifest_row(program, config):
     }
 
 
+def seeded_cells():
+    """``(key, sources, config, mutate)`` of the manifest's ``seeded``
+    section: the instrumented cases of ``war_diagnostics.json`` with their
+    mutations, and the fault-injection campaign's seeded ``xcall``
+    mutants that ``wide`` lacks (it pins the forced elision)."""
+    from repro.faultinject.differential import _mutant_cells
+
+    for name, sources, config, mutate in _cases():
+        if config.instrument:
+            yield name, sources, config, mutate
+    for bench, config in _mutant_cells():
+        if config.force_unsafe_elision is None:
+            yield (f"{bench}/{config.name}", [get_benchmark(bench).source],
+                   config, None)
+
+
+def seeded_row(sources, config, mutate):
+    """One ``seeded`` row: the full-level verdict of a cell that violates
+    WAR-freedom, and the sorted codes of its error diagnostics."""
+    from repro.diagnostics import ERROR
+
+    result = certify(case_build(sources, config, mutate))
+    return {
+        "verdict": verdict_digest(result),
+        "errors": sorted({d.code for d in result.engine.diagnostics
+                          if d.severity == ERROR}),
+    }
+
+
+def generate_seeded():
+    return {key: seeded_row(sources, config, mutate)
+            for key, sources, config, mutate in seeded_cells()}
+
+
 def campaign_row(report, verdicts):
     """One ``campaigns`` row: the sha256 of the JSON report as ``-o``
     writes it, and how many cells got each verdict."""
@@ -449,6 +492,7 @@ def generate_manifest():
                   for key, program, config in cells()}
         for section, cells in (("grid", grid_cells), ("wide", wide_cells))
     }
+    manifest["seeded"] = generate_seeded()
     manifest["campaigns"] = generate_campaigns()
     manifest["cli"] = generate_cli()
     return manifest

@@ -28,8 +28,8 @@ from repro.analysis.idempotence import certificates_verdict
 from repro.benchsuite import BENCHMARKS, DIAGNOSTICS, get_benchmark
 from repro.cache import inject_key, lint_key
 from repro.core import iclang
-from repro.core.lint import LEVEL_ORDER, lint_sources
-from repro.core.pipeline import ENVIRONMENTS, environment
+from repro.core.lint import LEVEL_ORDER, certify, lint_sources
+from repro.core.pipeline import ENVIRONMENTS, build, environment
 from repro.diagnostics import ERROR, LEVEL_CERTIFY, render_sarif
 from repro.emulator import Machine, NoForwardProgress, SchedulePower
 from repro.faultinject.campaign import (
@@ -47,6 +47,8 @@ from repro.faultinject.differential import (
     run_differential,
     seeded_knobs,
 )
+from repro.frontend import compile_sources
+from repro.ir import verify_module
 
 XCALL = get_benchmark("xcall")
 
@@ -157,6 +159,49 @@ def test_drop_epilog_mask_caught_only_by_the_certifier():
     clean = lint_sources(XCALL.source, "wario-summaries", name="xcall",
                          cache=False)
     assert clean.certified
+
+
+def _xcall_build():
+    module = compile_sources([XCALL.source], "xcall")
+    verify_module(module)
+    return build(module, ENVIRONMENTS["wario-summaries"])
+
+
+def test_masked_release_discharged_by_the_exit_checkpoint():
+    """The WARio epilogue releases the frame ``get`` read under masked
+    interrupts; its exit checkpoint commits the release."""
+    result = certify(_xcall_build(), level="full")
+    assert result.certified
+    assert any(o["kind"] == "masked-release"
+               and o["status"] == "discharged"
+               for cert in result.certificates
+               for o in cert["obligations"])
+
+
+def test_unmasking_before_the_commit_is_an_unmasked_window():
+    """Moving each WARio epilogue's ``cpsie`` ahead of its checkpoint
+    re-enables interrupts while the frame release is uncommitted.  The
+    pending read is the transparent callee's, which only the certifier
+    tracks, so no ``mir-war-*`` error accompanies it."""
+    cell = _xcall_build()
+    moved = 0
+    for mfn in cell.mmodule.functions.values():
+        for block in mfn.blocks:
+            instrs = block.instructions
+            for index, instr in enumerate(instrs):
+                if instr.opcode == "cpsie":
+                    commit = max(i for i in range(index)
+                                 if instrs[i].opcode == "checkpoint")
+                    instrs.insert(commit, instrs.pop(index))
+                    moved += 1
+    assert moved
+    result = certify(cell, level="full")
+    codes = _error_codes(result)
+    assert "idempotence-unmasked-window" in codes
+    assert not [code for code in codes if code.startswith("mir-war-")]
+    assert any(o["kind"] == "masked-window" and o["status"] == "violated"
+               for cert in result.certificates
+               for o in cert["obligations"])
 
 
 # ---------------------------------------------------------------------------

@@ -48,3 +48,14 @@ def test_cli_output_matches_golden(command):
     and analysis report renderers."""
     assert sorted(GOLDEN["cli"]) == sorted(GEN.CLI_INVOCATIONS)
     assert GEN.cli_row(command) == GOLDEN["cli"][command]
+
+
+SEEDED = {key: cell for key, *cell in GEN.seeded_cells()}
+
+
+@pytest.mark.parametrize("key", sorted(SEEDED))
+def test_seeded_row_matches_golden(key):
+    """The full-level verdict and error codes of each cell that violates
+    WAR-freedom on purpose: the certifiers' reporting paths."""
+    assert sorted(GOLDEN["seeded"]) == sorted(SEEDED)
+    assert GEN.seeded_row(*SEEDED[key]) == GOLDEN["seeded"][key]
