@@ -8,7 +8,8 @@ scheme was spelled out three times: the IR-level exposed-load dataflow
 (:mod:`repro.backend.mir_war`), and the defined-before-use must-check in
 :mod:`repro.backend.mir`.  They now all instantiate
 :class:`DataflowProblem` and call :func:`solve`; the idempotence
-certifier (:mod:`repro.analysis.idempotence`) builds on the same engine.
+certifier (:mod:`repro.analysis.idempotence`) renders the findings of
+the first two.
 
 The solver is deliberately a *round-robin* iteration over a fixed node
 order rather than a priority worklist: for the monotone join lattices

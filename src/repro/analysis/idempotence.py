@@ -11,11 +11,14 @@ recomputes the same results.  The first execution can only break this by
 a region's inputs can be overwritten has been enumerated.
 
 This module certifies the full property per region by abstract
-re-execution over both IR levels, on the shared dataflow engine
-(:mod:`repro.analysis.dataflow`).  Conceptually each region's abstract
-store is executed twice; the certifier discharges, per region, one
-*proof obligation* for every way execution two could observe a value
-execution one wrote:
+re-execution over both IR levels.  It solves nothing itself: it renders
+the findings of the two region engines, the IR's
+:class:`~repro.analysis.static_war.RegionWARAnalysis` and the machine's
+:class:`~repro.backend.mir_war.MachineRegionAnalysis`, which the WAR
+verifiers render too.  Conceptually each region's abstract store is
+executed twice; the certifier discharges, per region, one *proof
+obligation* for every way execution two could observe a value execution
+one wrote:
 
 ``region-reexecution`` (IR level)
     No abstract location is read before being overwritten inside the
@@ -37,11 +40,12 @@ execution one wrote:
     bytes in between).
 
 ``cross-call`` (machine level)
-    A transparent callee's mod/ref summary (PR 2) is re-played at the
-    call site: its reads of the caller's frame become exposed facts the
-    release rule must respect — the one hazard neither WAR verifier can
-    see, because the callee reads the caller's slot through a pointer
-    argument and the caller's ``bl`` is opaque to byte-level analysis.
+    The machine engine replays a transparent callee's mod/ref summary at
+    the call site: its reads of the caller's frame become exposed facts
+    the release rule must respect — the one hazard neither WAR verifier
+    reports, because the callee reads the caller's slot through a
+    pointer argument and the caller's ``bl`` is opaque to byte-level
+    analysis.
 
 ``entry-barrier`` (machine level)
     Every instrumented, non-transparent function begins with its entry
@@ -66,12 +70,8 @@ from ..diagnostics import (
     Diagnostic,
     DiagnosticEngine,
 )
-from ..ir.values import GlobalVariable
-from .alias import PRECISE, AliasAnalysis
-from .dataflow import FW, interval_covers, solve
-from .loops import loop_info
 from .memdep import BACKWARD, FORWARD
-from .static_war import RegionWARAnalysis, describe_endpoint, region_labels
+from .static_war import FunctionWAR, describe_endpoint
 
 #: Verdicts a certificate can carry.
 CERTIFIED = "certified"
@@ -122,22 +122,19 @@ def clobber_detail(read, write, kind: str, aa) -> str:
     )
 
 
-def _certify_ir_function(function, aa, summaries,
+def _certify_ir_function(war: FunctionWAR,
                          engine: DiagnosticEngine) -> List[Dict[str, object]]:
     """Abstract re-execution of every region of one IR function: its
     exposed reads are what execution two would re-read, and the WAR
-    findings over them are the clobbers execution one performs.  One
-    ``region-reexecution`` obligation per clobbered read, or one
-    discharged obligation for a region with none."""
-    analysis = RegionWARAnalysis(
-        function, aa, loop_info(function), True, summaries
-    )
-    labels = region_labels(function, True, summaries)
+    findings over them (calls as checkpoints) are the clobbers execution
+    one performs.  One ``region-reexecution`` obligation per clobbered
+    read, or one discharged obligation for a region with none."""
+    function, labels = war.function, war.labels
     # region label -> violation details, in finding order
     violations: Dict[str, List[str]] = {}
-    for read, write, kind in analysis.findings():
+    for read, write, kind in war.findings:
         region = labels.get(id(read.parent), "entry")
-        detail = clobber_detail(read, write, kind, aa)
+        detail = clobber_detail(read, write, kind, war.aa)
         violations.setdefault(region, []).append(detail)
         engine.emit(Diagnostic(
             severity=ERROR,
@@ -188,222 +185,87 @@ def _certify_ir_function(function, aa, summaries,
 # ---------------------------------------------------------------------------
 
 
-def _machine_certifier_class():
-    """The machine-level region certifier, built lazily to keep
-    ``repro.analysis`` importable without the backend package."""
-    from ..backend.mir_war import _Fact, _MIRWARAnalysis
+def _machine_obligation(mfn, event, engine: DiagnosticEngine):
+    """The proof obligation of one machine-level region event; a
+    violation is also emitted as an ``idempotence-*`` diagnostic."""
+    from ..backend import mir_war
 
-    class _MachineRegionCertifier(_MIRWARAnalysis):
-        """Extends the machine WAR dataflow with transparent-callee
-        mod/ref effects and proof-obligation recording.  Inherits the
-        exact transfer semantics of :mod:`repro.backend.mir_war`; emits
-        ``idempotence-*`` diagnostics instead of ``mir-war-*``."""
-
-        def __init__(self, mfn, aa, engine, transparent_callees, summaries):
-            super().__init__(
-                mfn, aa, True, engine,
-                transparent_callees=transparent_callees,
-            )
-            self.summaries = summaries
-            self.obligations: List[Dict[str, object]] = []
-            self._block = None
-
-        # -- plumbing ---------------------------------------------------
-        def _transfer(self, block, state, report):
-            self._block = block
-            return super()._transfer(block, state, report)
-
-        def _region(self) -> str:
-            return self._block.name if self._block is not None else ""
-
-        def _record(self, kind: str, at, detail: str,
-                    discharged_by=None, violation=None) -> None:
-            self.obligations.append(obligation(
-                kind, self._region(), _where(at), detail,
-                discharged_by=discharged_by, violation=violation,
-            ))
-
-        def _emit(self, code: str, message: str, instr, related) -> None:
-            self.engine.emit(Diagnostic(
-                severity=ERROR,
-                code=code,
-                message=message,
-                function=self.mfn.name,
-                region=self._region(),
-                level=LEVEL_CERTIFY,
-                loc=instr.loc,
-                related=related,
-            ))
-
-        # -- cross-call effects (the mir_war blind spot) ----------------
-        def _callee_frame_ranges(self, name: str, want_mod: bool):
-            """Caller-frame byte ranges the callee's summary may touch."""
-            if self.summaries is None:
-                return []
-            summary = self.summaries.summary(name)
-            if summary is None:
-                return []
-            objs = summary.mod if want_mod else summary.ref
-            if objs is None:
-                # TOP summaries never classify transparent; conservative.
-                return list(self.addr_taken)
-            ranges = []
-            for obj in objs:
-                if isinstance(obj, GlobalVariable):
-                    continue
-                slot = self.slot_for_alloca.get(id(obj))
-                if slot is not None:
-                    ranges.append(self._slot_range(slot, self.frame_delta))
-            return ranges
-
-        def _at_call(self, instr, state, report, barrier):
-            if barrier:
-                if report:
-                    self._record(
-                        "call-barrier", instr,
-                        f"the region ends at the call to '{instr.ops[0]}'",
-                        discharged_by=(
-                            f"callee '{instr.ops[0]}' carries an entry "
-                            f"checkpoint (entry-barrier obligation)"
-                        ),
-                    )
-                return
-            name = instr.ops[0]
-            ref = self._callee_frame_ranges(name, want_mod=False)
-            mod = self._callee_frame_ranges(name, want_mod=True)
-            if report:
-                for fact in state.facts.values():
-                    if fact.is_ir:
-                        continue  # ir-ir pairs are the IR level's job
-                    if mod and fact.overlaps(mod):
-                        detail = (
-                            f"transparent callee '{name}' may overwrite "
-                            f"caller stack bytes first read by {fact.what} "
-                            f"in the open region"
-                        )
-                        self._record("cross-call", instr, detail,
-                                     violation=detail)
-                        self._emit(
-                            "idempotence-war",
-                            detail + "; re-execution would observe the "
-                                     "callee's value",
-                            instr,
-                            [(f"first read here by '{fact.instr.opcode}'",
-                              fact.instr.loc)],
-                        )
-            if ref and not interval_covers(state.covered, ref):
-                # The callee reads our frame inside the still-open
-                # region: those bytes join the exposed-read set that the
-                # release rule protects.
-                old = state.facts.get(id(instr))
-                flags = (old.flags if old else 0) | FW
-                state.facts[id(instr)] = _Fact(
-                    instr, ref, flags, True,
-                    f"the transparent callee '{name}'",
-                )
-                if report:
-                    self._record(
-                        "cross-call", instr,
-                        f"transparent callee '{name}' reads caller stack "
-                        f"bytes {ref} inside the open region",
-                        discharged_by=(
-                            "the reads join the exposed set; every later "
-                            "release of these bytes must discharge them"
-                        ),
-                    )
-            elif report:
-                self._record(
-                    "cross-call", instr,
-                    f"transparent callee '{name}' touches no exposed "
-                    f"caller stack bytes",
-                    discharged_by="mod/ref summary is disjoint from the "
-                                  "caller's live frame reads",
-                )
-
-        # -- release-window obligations ---------------------------------
-        def _at_checkpoint(self, instr, state, report):
-            if not report:
-                return
-            for released, fact in state.pending:
-                self._record(
-                    "masked-release", instr,
-                    f"stack bytes [{released[0]}, {released[1]}) were "
-                    f"released under masked interrupts while read by "
-                    f"{fact.what}",
-                    discharged_by=(
-                        "a checkpoint commits the region before "
-                        "interrupts re-enable (WARio epilogue contract)"
-                    ),
-                )
-
-        def _check_store(self, instr, ranges, is_ir, state):
-            for fact in state.facts.values():
-                if is_ir and fact.is_ir:
-                    continue  # delegated to the IR-level re-execution
-                if not fact.overlaps(ranges):
-                    continue
-                key = (id(fact.instr), id(instr))
-                if key in self.seen:
-                    continue
-                self.seen.add(key)
-                detail = (
-                    f"'{instr.opcode}' overwrites stack bytes first read "
-                    f"by {fact.what} in the same region"
-                )
-                self._record("region-reexecution", instr, detail,
-                             violation=detail)
-                self._emit(
-                    "idempotence-war",
-                    detail + "; re-execution would observe the new value",
-                    instr,
-                    [(f"first read here by '{fact.instr.opcode}'",
-                      fact.instr.loc)],
-                )
-
-        def _report_release(self, instr, released, fact):
-            key = ("release", id(fact.instr), id(instr))
-            if key in self.seen:
-                return
-            self.seen.add(key)
-            if instr.opcode == "cpsie":
-                detail = (
-                    f"the masked window re-enables interrupts before a "
-                    f"checkpoint commits the release of bytes "
-                    f"[{released[0]}, {released[1]}) still read by "
-                    f"{fact.what}"
-                )
-                code = "idempotence-unmasked-window"
-                kind = "masked-window"
-            else:
-                detail = (
-                    f"'{instr.opcode}' publishes stack bytes "
-                    f"[{released[0]}, {released[1]}) still read by "
-                    f"{fact.what} in the open region; interrupt stacking "
-                    f"or a callee may clobber them before re-execution"
-                )
-                code = "idempotence-exposed-release"
-                kind = "exposed-release"
-            self._record(kind, instr, detail, violation=detail)
-            self._emit(
-                code, detail, instr,
-                [(f"read here by '{fact.instr.opcode}'", fact.instr.loc)],
-            )
-
-        # -- driver (no structural re-reporting: mir_war owns those) ----
-        def run(self):
-            if not self.mfn.blocks:
-                return
-            in_states = solve(self)
-            for block in self.mfn.blocks:
-                state = in_states[block.name]
-                if state is None:
-                    continue
-                self._transfer(block, state.copy(), report=True)
-
-    return _MachineRegionCertifier
+    instr, fact, kind = event.instr, event.fact, event.kind
+    region, at = event.block.name, _where(instr)
+    callee = instr.ops[0] if instr.opcode == "bl" else None
+    if event.released is not None:
+        freed = f"[{event.released[0]}, {event.released[1]})"
+    if kind == mir_war.BARRIER_CALL:
+        return obligation(
+            "call-barrier", region, at,
+            f"the region ends at the call to '{callee}'",
+            discharged_by=(f"callee '{callee}' carries an entry "
+                           f"checkpoint (entry-barrier obligation)"),
+        )
+    if kind == mir_war.MASKED_RELEASE:
+        return obligation(
+            "masked-release", region, at,
+            f"stack bytes {freed} were released under masked interrupts "
+            f"while read by {fact.what}",
+            discharged_by=("a checkpoint commits the region before "
+                           "interrupts re-enable (WARio epilogue contract)"),
+        )
+    if kind == mir_war.CALLEE_READ and fact is None:
+        return obligation(
+            "cross-call", region, at,
+            f"transparent callee '{callee}' touches no exposed caller "
+            f"stack bytes",
+            discharged_by=("mod/ref summary is disjoint from the caller's "
+                           "live frame reads"),
+        )
+    if kind == mir_war.CALLEE_READ:
+        return obligation(
+            "cross-call", region, at,
+            f"transparent callee '{callee}' reads caller stack bytes "
+            f"{fact.ranges} inside the open region",
+            discharged_by=("the reads join the exposed set; every later "
+                           "release of these bytes must discharge them"),
+        )
+    related = f"read here by '{fact.instr.opcode}'"
+    if kind == mir_war.UNMASKED_WINDOW:
+        kind, code = "masked-window", "idempotence-unmasked-window"
+        detail = message = (
+            f"the masked window re-enables interrupts before a checkpoint "
+            f"commits the release of bytes {freed} still read by "
+            f"{fact.what}"
+        )
+    elif kind == mir_war.RELEASE:
+        kind, code = "exposed-release", "idempotence-exposed-release"
+        detail = message = (
+            f"'{instr.opcode}' publishes stack bytes {freed} still read by "
+            f"{fact.what} in the open region; interrupt stacking or a "
+            f"callee may clobber them before re-execution"
+        )
+    elif callee is not None:
+        kind, code = "cross-call", "idempotence-war"
+        related = "first " + related
+        detail = (
+            f"transparent callee '{callee}' may overwrite caller stack "
+            f"bytes first read by {fact.what} in the open region"
+        )
+        message = detail + "; re-execution would observe the callee's value"
+    else:
+        kind, code = "region-reexecution", "idempotence-war"
+        related = "first " + related
+        detail = (
+            f"'{instr.opcode}' overwrites stack bytes first read by "
+            f"{fact.what} in the same region"
+        )
+        message = detail + "; re-execution would observe the new value"
+    engine.emit(Diagnostic(
+        severity=ERROR, code=code, message=message, function=mfn.name,
+        region=region, level=LEVEL_CERTIFY, loc=instr.loc,
+        related=[(related, fact.instr.loc)],
+    ))
+    return obligation(kind, region, at, detail, violation=detail)
 
 
-def _entry_barrier_obligation(mfn, transparent: Set[str],
+def _entry_barrier_obligation(mfn,
                               engine: DiagnosticEngine) -> Dict[str, object]:
     """The structural fact callers rely on: a non-transparent function
     checkpoints before touching any state."""
@@ -444,17 +306,20 @@ def _entry_barrier_obligation(mfn, transparent: Set[str],
 
 
 def certify_module_idempotence(
-    ir_module,
+    functions: List[FunctionWAR],
     mmodule,
-    alias_mode: str = PRECISE,
-    summaries=None,
+    machine_events: Dict[str, list],
+    transparent: Set[str],
     engine: Optional[DiagnosticEngine] = None,
 ) -> Tuple[DiagnosticEngine, List[Dict[str, object]]]:
     """Certify per-region idempotence of an instrumented module.
 
-    Runs the IR-level abstract re-execution over every function of
-    ``ir_module`` and the machine-level release/cross-call analysis over
-    every function of ``mmodule`` (the same module after lowering).
+    ``functions`` holds the IR region findings of every function of the
+    module, in module order, with calls as checkpoints;
+    ``machine_events`` maps each function of ``mmodule`` (the same
+    module after lowering) to its machine region events
+    (:meth:`~repro.backend.mir_war.MachineRegionAnalysis.findings`), and
+    ``transparent`` names the functions lowered without checkpoints.
     Returns ``(engine, certificates)`` — one certificate dict per
     function, in module order, each carrying its proof obligations.
     Only meaningful for instrumented configurations (the analysis model
@@ -462,35 +327,23 @@ def certify_module_idempotence(
     """
     if engine is None:
         engine = DiagnosticEngine()
-    if summaries is not None:
-        points_to = summaries.arg_points_to
-        transparent = summaries.transparent_names()
-    else:
-        from .pointsto import compute_points_to
-
-        points_to = compute_points_to(ir_module)
-        transparent = set()
-
-    machine_cls = _machine_certifier_class()
     certificates: List[Dict[str, object]] = []
-    for function in ir_module.defined_functions():
+    for war in functions:
+        name = war.function.name
         before = len(engine.diagnostics)
-        aa = AliasAnalysis(function, alias_mode, points_to=points_to)
-        obligations = _certify_ir_function(function, aa, summaries, engine)
-
-        mfn = mmodule.functions.get(function.name) if mmodule else None
+        obligations = _certify_ir_function(war, engine)
+        mfn = mmodule.functions.get(name)
         if mfn is not None:
-            if function.name != "main" and function.name not in transparent:
-                obligations.append(
-                    _entry_barrier_obligation(mfn, transparent, engine)
-                )
-            certifier = machine_cls(mfn, aa, engine, transparent, summaries)
-            certifier.run()
-            obligations.extend(certifier.obligations)
+            if name != "main" and name not in transparent:
+                obligations.append(_entry_barrier_obligation(mfn, engine))
+            obligations.extend(
+                _machine_obligation(mfn, event, engine)
+                for event in machine_events[name]
+            )
 
         violated = [o for o in obligations if o["status"] == VIOLATED]
         certificates.append({
-            "function": function.name,
+            "function": name,
             "verdict": VIOLATED if violated else CERTIFIED,
             "obligations": obligations,
             "diagnostics": len(engine.diagnostics) - before,

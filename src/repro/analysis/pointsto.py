@@ -106,6 +106,15 @@ def _root_of(value, causes: Optional[List[TopCause]] = None,
     return None
 
 
+def module_points_to(module, summaries=None) -> PointsToMap:
+    """The whole-program points-to map of ``module``: the one ``summaries``
+    (a :class:`~repro.analysis.summaries.SummaryTable`) already solved,
+    or else a fresh :func:`compute_points_to`."""
+    if summaries is not None:
+        return summaries.arg_points_to
+    return compute_points_to(module)
+
+
 def compute_points_to(
     module,
     engine: Optional[DiagnosticEngine] = None,

@@ -52,7 +52,7 @@ Interprocedural behaviour follows the instrumentation model:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..diagnostics import (
     LEVEL_IR,
@@ -66,6 +66,7 @@ from .cfg import reverse_postorder
 from .dataflow import DataflowProblem, FW, BK, merge_flagged_facts, solve
 from .loops import LoopInfo, loop_info
 from .memdep import BACKWARD, FORWARD, access_size, summary_sets_intersect
+from .pointsto import module_points_to
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +429,43 @@ def _war_diagnostic(function, aa, labels, read, write, kind) -> Diagnostic:
 # ---------------------------------------------------------------------------
 
 
+class FunctionWAR(NamedTuple):
+    """One function's region-WAR analysis: the alias analysis it ran
+    with, its region labels and every :meth:`RegionWARAnalysis.findings`
+    finding, in order."""
+
+    function: object
+    aa: AliasAnalysis
+    labels: Dict[int, str]
+    findings: List[Tuple[object, object, str]]
+
+
+def analyse_function_war(
+    function,
+    alias_mode: str = PRECISE,
+    points_to=None,
+    calls_are_checkpoints: bool = True,
+    summaries=None,
+) -> FunctionWAR:
+    """Solve one function's region dataflow and collect its findings."""
+    aa = AliasAnalysis(function, alias_mode, points_to=points_to)
+    analysis = RegionWARAnalysis(
+        function, aa, loop_info(function), calls_are_checkpoints, summaries
+    )
+    return FunctionWAR(
+        function, aa,
+        region_labels(function, calls_are_checkpoints, summaries),
+        list(analysis.findings()),
+    )
+
+
+def report_function_war(war: FunctionWAR, engine: DiagnosticEngine) -> None:
+    """Emit the ``war-*`` diagnostic of each of ``war``'s findings."""
+    for finding in war.findings:
+        engine.emit(_war_diagnostic(war.function, war.aa, war.labels,
+                                    *finding))
+
+
 def verify_function_war(
     function,
     alias_mode: str = PRECISE,
@@ -439,13 +477,11 @@ def verify_function_war(
     """Statically verify one function's WAR-freedom; returns the engine."""
     if engine is None:
         engine = DiagnosticEngine()
-    aa = AliasAnalysis(function, alias_mode, points_to=points_to)
-    analysis = RegionWARAnalysis(
-        function, aa, loop_info(function), calls_are_checkpoints, summaries
+    report_function_war(
+        analyse_function_war(function, alias_mode, points_to,
+                             calls_are_checkpoints, summaries),
+        engine,
     )
-    labels = region_labels(function, calls_are_checkpoints, summaries)
-    for finding in analysis.findings():
-        engine.emit(_war_diagnostic(function, aa, labels, *finding))
     return engine
 
 
@@ -467,14 +503,9 @@ def verify_module_war(
     verifier then certifies the same relaxed call model the inserter
     used.
     """
-    from .pointsto import compute_points_to
-
     if engine is None:
         engine = DiagnosticEngine()
-    if summaries is not None:
-        points_to = summaries.arg_points_to
-    else:
-        points_to = compute_points_to(module)
+    points_to = module_points_to(module, summaries)
     for function in module.defined_functions():
         verify_function_war(
             function,
@@ -489,7 +520,8 @@ def verify_module_war(
 
 __all__ = [
     "FW", "BK", "AFTER_CALL", "CALL",
-    "RegionWARAnalysis",
+    "RegionWARAnalysis", "FunctionWAR", "analyse_function_war",
+    "report_function_war",
     "describe_access", "describe_endpoint", "retreating_edges",
     "region_labels", "verify_function_war", "verify_module_war",
 ]

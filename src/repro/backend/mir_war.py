@@ -35,11 +35,17 @@ precision.  What remains machine-only:
   and ``cpsie`` a release is provisionally allowed and must be followed
   by a checkpoint (with no intervening store) before interrupts
   re-enable — which is precisely the Epilog Optimizer's shape.
+
+:class:`MachineRegionAnalysis` is the one machine-level region engine:
+its events (violations and discharge points, including a replay of
+each transparent callee's mod/ref sets on the caller's frame) become
+``mir-war-*`` diagnostics here, replay aside, and proof obligations in
+:mod:`repro.analysis.idempotence`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..analysis.alias import PRECISE, AliasAnalysis
 from ..analysis.dataflow import (
@@ -53,25 +59,13 @@ from ..analysis.dataflow import (
     intervals_overlap,
     solve,
 )
-from ..diagnostics import (
-    Diagnostic,
-    DiagnosticEngine,
-    ERROR,
-    LEVEL_MIR,
-)
+from ..analysis.pointsto import module_points_to
+from ..diagnostics import Diagnostic, DiagnosticEngine, ERROR, LEVEL_MIR
 from ..ir.values import GlobalVariable
 from .mir import MFunction, MInstr, StackSlot
 
 _LOAD_SIZE = {"ldr": 4, "ldrh": 2, "ldrb": 1}
 _STORE_SIZE = {"str": 4, "strh": 2, "strb": 1}
-
-# The interval-set lattice lives in the shared dataflow module now;
-# these aliases keep the historical local names readable.
-_overlap = intervals_overlap
-_interval_add = interval_add
-_interval_sub = interval_sub
-_interval_intersect = interval_intersect
-_covers = interval_covers
 
 
 class _Fact:
@@ -88,7 +82,8 @@ class _Fact:
         self.what = what
 
     def overlaps(self, ranges) -> bool:
-        return any(_overlap(a, b) for a in self.ranges for b in ranges)
+        return any(intervals_overlap(a, b)
+                   for a in self.ranges for b in ranges)
 
 
 class _State:
@@ -141,35 +136,78 @@ def _merge(into: _State, new: _State, problems: List[str], where: str) -> bool:
         elif old.flags | fact.flags != old.flags:
             old.flags |= fact.flags
             changed = True
-    merged_covered = _interval_intersect(into.covered, new.covered)
+    merged_covered = interval_intersect(into.covered, new.covered)
     if merged_covered != into.covered:
         into.covered = merged_covered
         changed = True
     return changed
 
 
-class _MIRWARAnalysis(DataflowProblem):
-    """A forward dataflow on the shared worklist engine over concrete
+#: Violation events: a write (at a ``bl``, a transparent callee's mod
+#: set) may overwrite an exposed read; an exposed read's bytes are
+#: released unmasked, or stored to while their masked release is
+#: pending; ``cpsie`` re-enables interrupts before that release commits.
+CLOBBER = "clobber"
+RELEASE = "release"
+UNMASKED_WINDOW = "unmasked-window"
+#: Discharge-point events: a ``bl`` that ends the region, a checkpoint
+#: committing a masked release, a transparent callee's frame reads.
+BARRIER_CALL = "barrier-call"
+MASKED_RELEASE = "masked-release"
+CALLEE_READ = "callee-read"
+
+
+class MachineEvent(NamedTuple):
+    """One event at ``instr`` of ``block``: ``fact`` is the exposed read
+    involved (for ``CALLEE_READ`` the callee's, None if it reads no
+    exposed byte), ``released`` the byte range a release event frees."""
+
+    kind: str
+    block: object
+    instr: MInstr
+    fact: Optional[_Fact] = None
+    released: Optional[Tuple[int, int]] = None
+
+
+def _first_per_read(pending):
+    """The first pending release of each read, in order."""
+    reads = set()
+    for released, fact in pending:
+        if id(fact.instr) not in reads:
+            reads.add(id(fact.instr))
+            yield released, fact
+
+
+class MachineRegionAnalysis(DataflowProblem):
+    """One machine function's region dataflow and its events.
+
+    A forward dataflow on the shared worklist engine over concrete
     stack coordinates.  The in-state seed is ``None`` everywhere but the
-    entry block (``None`` = unreached — dead blocks are never analysed
+    entry block (``None`` = unreached: dead blocks are never analysed
     and contribute nothing to joins), every edge copies the out-state,
-    and a back edge additionally widens fact flags with ``BK``."""
+    and a back edge additionally widens fact flags with ``BK``.
+
+    ``transparent_callees`` names functions lowered without any
+    checkpoint: with ``calls_are_checkpoints`` a ``bl`` to one keeps the
+    region open, and ``summaries`` (a
+    :class:`~repro.analysis.summaries.SummaryTable`) supplies the mod/ref
+    sets replayed there.  Stack-depth mismatches collect in
+    ``structural``."""
 
     def __init__(
         self,
         mfn: MFunction,
         aa: Optional[AliasAnalysis],
         calls_are_checkpoints: bool,
-        engine: DiagnosticEngine,
         transparent_callees=None,
+        summaries=None,
     ):
         self.mfn = mfn
         self.aa = aa
         self.calls_are_checkpoints = calls_are_checkpoints
         self.transparent_callees = transparent_callees or set()
-        self.engine = engine
+        self.summaries = summaries
         self.structural: List[str] = []
-        self.seen = set()
         self.frame_delta = -self._prologue_bytes()
         self.addr_taken = self._address_taken_ranges()
         self.slot_for_alloca = mfn.alloca_slots
@@ -231,6 +269,27 @@ class _MIRWARAnalysis(DataflowProblem):
                 return self.addr_taken or None
         return ranges or None
 
+    def _callee_frame_ranges(self, name: str, want_mod: bool):
+        """Caller-frame byte ranges a transparent callee's summary may
+        touch."""
+        if self.summaries is None:
+            return []
+        summary = self.summaries.summary(name)
+        if summary is None:
+            return []
+        objs = summary.mod if want_mod else summary.ref
+        if objs is None:
+            # TOP summaries never classify transparent; conservative.
+            return list(self.addr_taken)
+        ranges = []
+        for obj in objs:
+            if isinstance(obj, GlobalVariable):
+                continue
+            slot = self.slot_for_alloca.get(id(obj))
+            if slot is not None:
+                ranges.append(self._slot_range(slot, self.frame_delta))
+        return ranges
+
     def _read_of(self, instr: MInstr, delta: int):
         """(ranges, is_ir) read by ``instr``, or None."""
         size = _LOAD_SIZE.get(instr.opcode)
@@ -277,38 +336,47 @@ class _MIRWARAnalysis(DataflowProblem):
         return None
 
     # -- transfer --------------------------------------------------------
-    def _transfer(self, block, state: _State, report: bool) -> _State:
+    def _walk(self, block, state: _State, report: bool):
+        """Run ``block``'s transfer over ``state`` in place.  With
+        ``report``, yield its :class:`MachineEvent` s as the walk reaches
+        them."""
         for instr in block.instructions:
             op = instr.opcode
             if op == "checkpoint":
-                self._at_checkpoint(instr, state, report)
+                if report:
+                    for released, fact in state.pending:
+                        yield MachineEvent(MASKED_RELEASE, block, instr,
+                                           fact, released)
                 state.facts.clear()
                 state.pending = []
                 state.covered = []
                 continue
             if op == "bl":
-                barrier = self.calls_are_checkpoints and (
-                    instr.ops[0] not in self.transparent_callees
-                )
-                if barrier:
+                # A callee operates strictly below the caller's sp, so it
+                # cannot touch the concrete facts tracked here; accesses
+                # through escaped pointers are the IR verifier's job.
+                if not self.calls_are_checkpoints:
+                    continue
+                if instr.ops[0] not in self.transparent_callees:
                     # The callee checkpoints at entry: region boundary.
                     state.facts.clear()
                     state.pending = []
                     state.covered = []
-                # A callee operates strictly below the caller's sp, so it
-                # cannot touch the concrete facts tracked here; accesses
-                # through escaped pointers are the IR verifier's job.
-                # Transparent callees additionally never checkpoint, so
-                # the caller's region (facts + coverage) stays open.
-                self._at_call(instr, state, report, barrier)
+                    if report:
+                        yield MachineEvent(BARRIER_CALL, block, instr)
+                    continue
+                # A transparent callee never checkpoints, so the caller's
+                # region (facts + coverage) stays open across it.
+                yield from self._replay_callee(block, instr, state, report)
                 continue
             if op == "cpsid":
                 state.masked = True
                 continue
             if op == "cpsie":
                 if report:
-                    for released, fact in state.pending:
-                        self._report_release(instr, released, fact)
+                    for released, fact in _first_per_read(state.pending):
+                        yield MachineEvent(UNMASKED_WINDOW, block, instr,
+                                           fact, released)
                 state.pending = []
                 state.masked = False
                 continue
@@ -316,7 +384,8 @@ class _MIRWARAnalysis(DataflowProblem):
                 state.delta -= instr.ops[0]
                 continue
             if op == "addsp":
-                self._release(instr, state, instr.ops[0], report)
+                yield from self._release(block, instr, state, instr.ops[0],
+                                         report)
                 state.delta += instr.ops[0]
                 continue
             if op == "bx_lr":
@@ -331,22 +400,30 @@ class _MIRWARAnalysis(DataflowProblem):
             if write is not None:
                 ranges, is_ir = write
                 if report:
-                    self._check_store(instr, ranges, is_ir, state)
-                if state.pending and report:
-                    for released, fact in list(state.pending):
-                        if any(_overlap(r, released) for r in ranges):
-                            self._report_release(instr, released, fact)
-                            state.pending.remove((released, fact))
+                    for fact in state.facts.values():
+                        if is_ir and fact.is_ir:
+                            continue  # delegated to the IR-level verifier
+                        if fact.overlaps(ranges):
+                            yield MachineEvent(CLOBBER, block, instr, fact)
+                    hit = [
+                        (released, fact) for released, fact in state.pending
+                        if any(intervals_overlap(r, released) for r in ranges)
+                    ]
+                    for entry in hit:
+                        state.pending.remove(entry)
+                    for released, fact in _first_per_read(hit):
+                        yield MachineEvent(RELEASE, block, instr, fact,
+                                           released)
                 if not is_ir:
                     # Concrete stack writes are exact (must-writes): the
                     # bytes are now covered by this region's own output.
                     for r in ranges:
-                        state.covered = _interval_add(state.covered, r)
+                        state.covered = interval_add(state.covered, r)
 
             read = self._read_of(instr, state.delta)
             if read is not None:
                 ranges, is_ir, what = read
-                if _covers(state.covered, ranges):
+                if interval_covers(state.covered, ranges):
                     # Every byte this read can touch was definitely
                     # written earlier in the same region on every path:
                     # re-execution reproduces the value, so the read can
@@ -363,88 +440,48 @@ class _MIRWARAnalysis(DataflowProblem):
             if op == "push":
                 state.delta -= 4 * len(instr.regs)
             elif op == "pop":
-                self._release(instr, state, 4 * len(instr.regs), report)
+                yield from self._release(block, instr, state,
+                                         4 * len(instr.regs), report)
                 state.delta += 4 * len(instr.regs)
-        return state
 
-    # -- subclass hooks (no-ops here) ------------------------------------
-    # The idempotence certifier (:mod:`repro.analysis.idempotence`)
-    # extends this analysis with cross-call effects and proof-obligation
-    # recording; these hooks mark the transfer points it attaches to.
-    def _at_checkpoint(self, instr: MInstr, state: _State, report: bool) -> None:
-        """Called before a checkpoint clears the region state."""
+    def _replay_callee(self, block, instr: MInstr, state: _State,
+                       report: bool):
+        """A transparent callee's mod/ref summary, replayed at its call:
+        its writes may clobber the caller's exposed stack reads, and its
+        reads of the caller's frame join the exposed set that the
+        release rule protects."""
+        name = instr.ops[0]
+        if report:
+            mod = self._callee_frame_ranges(name, want_mod=True)
+            if mod:
+                for fact in state.facts.values():
+                    if not fact.is_ir and fact.overlaps(mod):
+                        yield MachineEvent(CLOBBER, block, instr, fact)
+        ref = self._callee_frame_ranges(name, want_mod=False)
+        fact = None
+        if ref and not interval_covers(state.covered, ref):
+            old = state.facts.get(id(instr))
+            flags = (old.flags if old else 0) | FW
+            fact = state.facts[id(instr)] = _Fact(
+                instr, ref, flags, True, f"the transparent callee '{name}'",
+            )
+        if report:
+            yield MachineEvent(CALLEE_READ, block, instr, fact)
 
-    def _at_call(self, instr: MInstr, state: _State, report: bool,
-                 barrier: bool) -> None:
-        """Called after a ``bl``'s barrier effect (if any) was applied."""
-
-    def _release(self, instr: MInstr, state: _State, nbytes: int, report: bool) -> None:
+    def _release(self, block, instr: MInstr, state: _State, nbytes: int,
+                 report: bool):
         released = (state.delta, state.delta + nbytes)
         # Released bytes leave the frame: interrupt stacking or a callee
         # may clobber them, so they are no longer covered by our writes.
-        state.covered = _interval_sub(state.covered, released)
+        state.covered = interval_sub(state.covered, released)
         exposed = [f for f in state.facts.values() if f.overlaps([released])]
-        if not exposed:
-            return
         if state.masked:
             # Deferred: legal iff a checkpoint arrives before cpsie with
             # no store into the released bytes in between.
             state.pending.extend((released, f) for f in exposed)
-            return
-        if report:
+        elif report:
             for fact in exposed:
-                self._report_release(instr, released, fact)
-
-    # -- reporting -------------------------------------------------------
-    def _check_store(self, instr: MInstr, ranges, is_ir: bool, state: _State) -> None:
-        for fact in state.facts.values():
-            if is_ir and fact.is_ir:
-                continue  # delegated to the IR-level verifier
-            if not fact.overlaps(ranges):
-                continue
-            key = (id(fact.instr), id(instr))
-            if key in self.seen:
-                continue
-            self.seen.add(key)
-            kind = "forward" if fact.flags & FW else "backward"
-            self.engine.emit(Diagnostic(
-                severity=ERROR,
-                code=f"mir-war-{kind}",
-                message=(
-                    f"'{instr.opcode}' overwrites stack bytes first read "
-                    f"by {fact.what} in the same idempotent region"
-                ),
-                function=self.mfn.name,
-                level=LEVEL_MIR,
-                loc=instr.loc,
-                related=[(
-                    f"first read here by '{fact.instr.opcode}'",
-                    fact.instr.loc,
-                )],
-            ))
-
-    def _report_release(self, instr: MInstr, released, fact: _Fact) -> None:
-        key = ("release", id(fact.instr), id(instr))
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        self.engine.emit(Diagnostic(
-            severity=ERROR,
-            code="mir-war-release",
-            message=(
-                f"'{instr.opcode}' releases stack bytes "
-                f"[{released[0]}, {released[1]}) still exposed as reads by "
-                f"{fact.what}; interrupt stacking or a later call may "
-                f"overwrite them inside the open idempotent region"
-            ),
-            function=self.mfn.name,
-            level=LEVEL_MIR,
-            loc=instr.loc,
-            related=[(
-                f"read here by '{fact.instr.opcode}'",
-                fact.instr.loc,
-            )],
-        ))
+                yield MachineEvent(RELEASE, block, instr, fact, released)
 
     # -- the dataflow problem (shared worklist engine) -------------------
     def nodes(self):
@@ -462,7 +499,10 @@ class _MIRWARAnalysis(DataflowProblem):
         return _State() if block is self.mfn.blocks[0] else None
 
     def transfer(self, block, state: _State) -> _State:
-        return self._transfer(block, state.copy(), report=False)
+        state = state.copy()
+        for _event in self._walk(block, state, report=False):
+            pass
+        return state
 
     def flow(self, out: _State, block, succ, is_back: bool) -> _State:
         return out.copy(add_bk=is_back)
@@ -470,23 +510,58 @@ class _MIRWARAnalysis(DataflowProblem):
     def merge(self, existing: _State, incoming: _State, block) -> bool:
         return _merge(existing, incoming, self.structural, block.name)
 
-    # -- driver ----------------------------------------------------------
-    def run(self) -> None:
+    def findings(self):
+        """Solve the dataflow, then walk every reached block from its
+        fixpoint in-state and yield each :class:`MachineEvent` once, in
+        walk order.  ``structural`` is complete once the walk ends."""
         if not self.mfn.blocks:
             return
         in_states = solve(self)
         for block in self.mfn.blocks:
             state = in_states[block.name]
-            if state is None:
-                continue
-            self._transfer(block, state.copy(), report=True)
-        # structural problems found along the way become diagnostics too,
-        # deduplicated (the fixpoint may revisit a join many times)
-        for problem in sorted(set(self.structural)):
-            self.engine.error(
-                "mir-stack-shape", problem,
-                function=self.mfn.name, level=LEVEL_MIR,
+            if state is not None:
+                yield from self._walk(block, state.copy(), report=True)
+
+
+def report_mfunction_war(analysis: MachineRegionAnalysis, events,
+                         engine: DiagnosticEngine) -> None:
+    """Emit ``events`` (the analysis's findings, consumed here if a
+    generator) as ``mir-war-*`` diagnostics, then its structural
+    problems as ``mir-stack-shape``.  Discharge points, and the events of
+    the transparent-callee replay, are left to the idempotence
+    certifier: this verifier never tracked them."""
+    mfn = analysis.mfn
+    for event in events:
+        instr, fact = event.instr, event.fact
+        if event.kind not in (CLOBBER, RELEASE, UNMASKED_WINDOW) or "bl" in (
+                instr.opcode, fact.instr.opcode):
+            continue
+        if event.kind == CLOBBER:
+            kind = "forward" if fact.flags & FW else "backward"
+            code, related = f"mir-war-{kind}", "first read here"
+            message = (
+                f"'{instr.opcode}' overwrites stack bytes first read "
+                f"by {fact.what} in the same idempotent region"
             )
+        else:
+            start, end = event.released
+            code, related = "mir-war-release", "read here"
+            message = (
+                f"'{instr.opcode}' releases stack bytes [{start}, {end}) "
+                f"still exposed as reads by {fact.what}; interrupt "
+                f"stacking or a later call may overwrite them inside the "
+                f"open idempotent region"
+            )
+        engine.emit(Diagnostic(
+            severity=ERROR, code=code, message=message,
+            function=mfn.name, level=LEVEL_MIR, loc=instr.loc,
+            related=[(f"{related} by '{fact.instr.opcode}'",
+                      fact.instr.loc)],
+        ))
+    # deduplicated: the fixpoint may revisit a join many times
+    for problem in sorted(set(analysis.structural)):
+        engine.error("mir-stack-shape", problem, function=mfn.name,
+                     level=LEVEL_MIR)
 
 
 def verify_mfunction_war(
@@ -512,9 +587,10 @@ def verify_mfunction_war(
     aa = None
     if ir_function is not None:
         aa = AliasAnalysis(ir_function, alias_mode, points_to=points_to)
-    _MIRWARAnalysis(
-        mfn, aa, calls_are_checkpoints, engine, transparent_callees
-    ).run()
+    analysis = MachineRegionAnalysis(
+        mfn, aa, calls_are_checkpoints, transparent_callees
+    )
+    report_mfunction_war(analysis, analysis.findings(), engine)
     return engine
 
 
@@ -538,12 +614,7 @@ def verify_mmodule_war(
     ir_functions = {}
     transparent = summaries.transparent_names() if summaries is not None else None
     if ir_module is not None:
-        if summaries is not None:
-            points_to = summaries.arg_points_to
-        else:
-            from ..analysis.pointsto import compute_points_to
-
-            points_to = compute_points_to(ir_module)
+        points_to = module_points_to(ir_module, summaries)
         ir_functions = {f.name: f for f in ir_module.defined_functions()}
     for mfn in mmodule.functions.values():
         verify_mfunction_war(
@@ -558,4 +629,9 @@ def verify_mmodule_war(
     return engine
 
 
-__all__ = ["verify_mfunction_war", "verify_mmodule_war"]
+__all__ = [
+    "CLOBBER", "RELEASE", "UNMASKED_WINDOW",
+    "BARRIER_CALL", "MASKED_RELEASE", "CALLEE_READ",
+    "MachineEvent", "MachineRegionAnalysis", "report_mfunction_war",
+    "verify_mfunction_war", "verify_mmodule_war",
+]

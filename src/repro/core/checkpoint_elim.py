@@ -126,12 +126,10 @@ def elide_redundant_checkpoints(
     """
     if budget is None:
         budget = DEFAULT_ELISION_BUDGET
-    if points_to is None and summaries is not None:
-        points_to = summaries.arg_points_to
     if points_to is None:
-        from ..analysis.pointsto import compute_points_to
+        from ..analysis.pointsto import module_points_to
 
-        points_to = compute_points_to(module)
+        points_to = module_points_to(module, summaries)
 
     from ..analysis.progress import argument_constants
     from ..analysis.summaries import _call_graph_sccs

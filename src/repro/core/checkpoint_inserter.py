@@ -45,12 +45,9 @@ def insert_checkpoints(module, alias_mode: str = "precise", summaries=None,
     instead of paying a duplicate whole-program solve here.
     """
     if points_to is None:
-        if summaries is not None:
-            points_to = summaries.arg_points_to
-        else:
-            from ..analysis.pointsto import compute_points_to
+        from ..analysis.pointsto import module_points_to
 
-            points_to = compute_points_to(module)
+        points_to = module_points_to(module, summaries)
     total = 0
     for function in module.defined_functions():
         total += insert_function_checkpoints(

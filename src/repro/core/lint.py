@@ -18,6 +18,10 @@ every static verifier's findings into a single
   re-execution consistency over both IR levels and emits
   machine-checkable per-function certificates.
 
+Each function's region dataflow is solved once per level, over one
+whole-program points-to map: the WAR verifiers and the idempotence
+certifier render the same findings.
+
 The certification depth is selectable (``level``): ``"ir"`` stops after
 the IR-level verifier, ``"mir"`` adds the back-end verifiers (the
 historical default), ``"full"`` adds the idempotence certifier.
@@ -32,9 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from ..analysis.static_war import verify_module_war
+from ..analysis.pointsto import module_points_to, report_top_causes
+from ..analysis.static_war import analyse_function_war, report_function_war
 from ..backend import MIRVerificationError, verify_mfunction
-# unused here, but perfbench's tracer wraps this name in this module
+from ..backend.mir_war import MachineRegionAnalysis, report_mfunction_war
+# unused here, but perfbench's tracer wraps these names in this module
+from ..analysis.static_war import verify_module_war
 from ..backend import lower_module
 from ..backend.mir_war import verify_mmodule_war
 from ..diagnostics import LEVEL_MIR, DiagnosticEngine
@@ -131,18 +138,19 @@ def certify(
     summaries = build.summaries
     name = name or module.name
     engine = DiagnosticEngine()
+    transparent = set()
     if summaries is not None:
         # Surface the precision-loss warnings alongside the WAR findings.
-        from ..analysis.pointsto import report_top_causes
-
         report_top_causes(summaries.causes, engine)
-    verify_module_war(
-        module,
-        alias_mode=config.alias_mode,
-        calls_are_checkpoints=config.instrument,
-        engine=engine,
-        summaries=summaries,
-    )
+        transparent = summaries.transparent_names()
+    points_to = module_points_to(module, summaries)
+    functions = [
+        analyse_function_war(function, config.alias_mode, points_to,
+                             config.instrument, summaries)
+        for function in module.defined_functions()
+    ]
+    for war in functions:
+        report_function_war(war, engine)
     if level == "ir":
         return LintResult(name, config.name, engine, level)
     for mfn in mmodule.functions.values():
@@ -154,14 +162,15 @@ def certify(
                     "mir-structural", problem,
                     function=mfn.name, level=LEVEL_MIR,
                 )
-    verify_mmodule_war(
-        mmodule,
-        module,
-        alias_mode=config.alias_mode,
-        calls_are_checkpoints=config.instrument,
-        engine=engine,
-        summaries=summaries,
-    )
+    aliases = {war.function.name: war.aa for war in functions}
+    machine_events = {}
+    for mfn in mmodule.functions.values():
+        analysis = MachineRegionAnalysis(
+            mfn, aliases.get(mfn.name), config.instrument, transparent,
+            summaries,
+        )
+        events = machine_events[mfn.name] = list(analysis.findings())
+        report_mfunction_war(analysis, events, engine)
     certificates: List[Dict[str, object]] = []
     progress: List[Dict[str, object]] = []
     placement: List[Dict[str, object]] = []
@@ -173,11 +182,7 @@ def certify(
         from ..analysis.progress import certify_module_progress
 
         _, certificates = certify_module_idempotence(
-            module,
-            mmodule,
-            alias_mode=config.alias_mode,
-            summaries=summaries,
-            engine=engine,
+            functions, mmodule, machine_events, transparent, engine=engine,
         )
         _, progress = certify_module_progress(
             module,

@@ -177,6 +177,57 @@ class TestDecisionContract:
             assert len(calls) == 1
 
 
+class TestCertifySolveContract:
+    """One full-level ``certify`` solves each function's region dataflow
+    once per level, and the whole-program points-to at most once: the
+    WAR verifiers and the idempotence certifier render the same
+    findings."""
+
+    @pytest.mark.parametrize("bench,env", [
+        ("sha", "wario"), ("xcall", "wario-summaries"),
+    ])
+    def test_one_region_solve_per_function_and_level(self, bench, env,
+                                                     monkeypatch):
+        import sys
+        from collections import Counter
+
+        from repro.analysis import dataflow, pointsto
+        from repro.analysis.static_war import RegionWARAnalysis
+        from repro.backend.mir_war import MachineRegionAnalysis
+        from repro.core.lint import certify
+        from repro.core.pipeline import build
+
+        module = compile_sources([get_benchmark(bench).source], bench)
+        cell = build(module, environment(env))
+        ir_solves, machine_solves, points_to = Counter(), Counter(), []
+        real_solve = dataflow.solve
+        real_points_to = pointsto.compute_points_to
+
+        def counting_solve(problem):
+            if isinstance(problem, RegionWARAnalysis):
+                ir_solves[problem.function.name] += 1
+            elif isinstance(problem, MachineRegionAnalysis):
+                machine_solves[problem.mfn.name] += 1
+            return real_solve(problem)
+
+        def counting_points_to(*args, **kwargs):
+            points_to.append(args)
+            return real_points_to(*args, **kwargs)
+
+        # every module that imported the solver by name
+        for name, loaded in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(loaded, "solve", None) is real_solve):
+                monkeypatch.setattr(loaded, "solve", counting_solve)
+        monkeypatch.setattr(pointsto, "compute_points_to", counting_points_to)
+        result = certify(cell, level="full")
+        assert result.certified
+        assert ir_solves == Counter(
+            f.name for f in module.defined_functions())
+        assert machine_solves == Counter(list(cell.mmodule.functions))
+        assert len(points_to) <= 1
+
+
 class TestDynamicReduction:
     @pytest.mark.parametrize("base_env,opt_env", [
         ("wario", "wario-opt"), ("ratchet", "ratchet-opt"),

@@ -5,7 +5,8 @@ Every module under ``src/repro`` is parsed with :mod:`ast`, its relative
 imports resolved against its package.  Nothing under ``repro.analysis``
 may import ``repro.core`` (the compiler consumes the analyses, not the
 reverse), and no module may import an underscore-prefixed name from
-``static_war``, ``idempotence``, ``redundancy`` or ``progress``: what one
+``static_war``, ``idempotence``, ``redundancy``, ``progress`` or the
+machine-level region engine ``repro.backend.mir_war``: what one
 certifier reuses of another is that module's public API.
 """
 
@@ -18,7 +19,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 SEALED = {
     f"repro.analysis.{name}"
     for name in ("static_war", "idempotence", "redundancy", "progress")
-}
+} | {"repro.backend.mir_war"}
 
 
 def modules():
