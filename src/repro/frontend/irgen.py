@@ -126,7 +126,11 @@ class IRGenerator:
                 init = [eval_const_expr(e) & 0xFFFFFFFF for e in _flatten(gv.init)]
             else:
                 init = eval_const_expr(gv.init) & 0xFFFFFFFF
-        value = self.module.add_global(gv.name, ir_type, init, gv.is_const)
+        try:
+            value = self.module.add_global(gv.name, ir_type, init,
+                                           gv.is_const)
+        except (TypeError, ValueError) as exc:  # the IR refused it
+            raise CompileError(f"line {gv.line}: {exc}") from None
         self.globals_scope.define(gv.name, value, gv.ctype)
 
     def _declare_function(self, fn: ast.FuncDef) -> None:

@@ -10,6 +10,7 @@ global scalars/arrays (with initializers), functions, ``if``/``while``/
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 from . import c_ast as ast
@@ -19,6 +20,33 @@ from .lexer import Token, tokenize
 
 class ParseError(Exception):
     pass
+
+
+#: The deepest nesting a program may use.  Every recursive cycle of the
+#: grammar passes through a statement, an assignment expression, a unary
+#: expression or a brace initializer, and each of those open at once is
+#: one level (a parenthesised operand takes two).  The bound keeps this
+#: parser, and each later pass that recurses over the syntax tree, well
+#: inside Python's default recursion limit.
+MAX_NESTING = 128
+
+
+def _nested(parse):
+    """Count one nesting level while ``parse`` runs, and reject the
+    program with a located :class:`ParseError` past :data:`MAX_NESTING`."""
+
+    @functools.wraps(parse)
+    def parse_nested(self, *args):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"line {self.cur.line}: nesting deeper than "
+                             f"{MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse(self, *args)
+        finally:
+            self.depth -= 1
+
+    return parse_nested
 
 
 #: binary operator precedence (higher binds tighter)
@@ -43,6 +71,8 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
+        #: how many nested constructs are open (see :data:`MAX_NESTING`)
+        self.depth = 0
 
     # -- token helpers ---------------------------------------------------
     @property
@@ -178,6 +208,7 @@ class Parser:
             break
         self.expect_op(";")
 
+    @_nested
     def parse_initializer(self):
         if self.accept_op("{"):
             items = []
@@ -229,6 +260,7 @@ class Parser:
         self.expect_op("}")
         return ast.Block(line=line, statements=statements)
 
+    @_nested
     def parse_statement(self) -> ast.Stmt:
         line = self.cur.line
         if self.at_op("{"):
@@ -381,6 +413,7 @@ class Parser:
             expr = ast.Binary(line=expr.line, op=",", left=expr, right=right)
         return expr
 
+    @_nested
     def parse_assignment(self) -> ast.Expr:
         left = self.parse_ternary()
         if self.cur.kind == "op" and self.cur.text in _ASSIGN_OPS:
@@ -410,6 +443,7 @@ class Parser:
             left = ast.Binary(line=left.line, op=op, left=left, right=right)
         return left
 
+    @_nested
     def parse_unary(self) -> ast.Expr:
         line = self.cur.line
         if self.accept_op("-"):

@@ -124,6 +124,19 @@ class TestCLI:
         assert err.startswith(f"{verb}: compilation failed: ")
         assert message in err
 
+    @pytest.mark.parametrize("source", [
+        "int main(void) { return " + "(" * 3000 + "1" + ")" * 3000 + "; }",
+        "int main(void) " + "{" * 3000 + "}" * 3000,
+    ], ids=["parentheses", "blocks"])
+    def test_deep_nesting_is_a_located_error(self, source, tmp_path,
+                                             capsys):
+        path = tmp_path / "deep.c"
+        path.write_text(source)
+        assert main(["compile", str(path)]) == EXIT_COMPILE_FAILED
+        assert capsys.readouterr().err == (
+            "compile: compilation failed: line 1: nesting deeper than "
+            "128 levels\n")
+
     @pytest.mark.parametrize("args, message", [
         (["missing.c"], "No such file or directory"),
         (["--benchmark", "nosuch"], "unknown benchmark 'nosuch'"),

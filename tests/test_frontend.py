@@ -216,3 +216,64 @@ class TestSemanticErrors:
     def test_conflicting_redeclaration(self):
         with pytest.raises(CompileError, match="conflicting"):
             compile_source("int f(int a); int f(void) { return 0; }")
+
+    def test_global_initializer_error_names_its_line(self):
+        with pytest.raises(CompileError,
+                           match=r"^line 2: unsupported global type i32\*$"):
+            compile_source("int g;\nint *p = 0;\n"
+                           "int main(void) { return 0; }")
+
+
+#: programs nested ``n`` deep, one construct per recursive cycle of the
+#: grammar
+NESTED = {
+    "parentheses": lambda n: "(" * n + "1" + ")" * n,
+    "negations": lambda n: "-(" * n + "1" + ")" * n,
+    "prefix operators": lambda n: "!" * n + "1",
+    "assignments": lambda n: "g = " * n + "1",
+    "conditionals": lambda n: "g ? 1 : " * n + "0",
+    "subscripts": lambda n: "a[" * n + "0" + "]" * n,
+}
+
+
+def _program(shape, n):
+    if shape == "blocks":
+        return "int g; int main(void) " + "{" * n + "g = 1;" + "}" * n
+    if shape == "unbraced ifs":
+        return "int g; int main(void) { " + "if (g < 5) " * n + \
+            "g = g + 1; return 0; }"
+    return ("int g; int a[2]; int main(void) { g = "
+            + NESTED[shape](n) + "; return 0; }")
+
+
+class TestNestingBound:
+    """The parser rejects nesting past ``MAX_NESTING`` with an error that
+    names the line, and every later phase handles the deepest program it
+    accepts."""
+
+    @pytest.mark.parametrize("shape", sorted(NESTED) + ["blocks",
+                                                        "unbraced ifs"])
+    def test_deepest_accepted_program_compiles_and_runs(self, shape):
+        from repro.core.lint import certify
+        from repro.core.pipeline import build, environment
+        from repro.emulator import Machine
+        from repro.frontend import compile_sources
+        from repro.frontend.parser import MAX_NESTING
+
+        def accepted(n):
+            try:
+                parse(_program(shape, n))
+            except ParseError as exc:
+                assert str(exc) == (f"line 1: nesting deeper than "
+                                    f"{MAX_NESTING} levels")
+                return False
+            return True
+
+        deepest = 1
+        while accepted(deepest + 1):
+            deepest += 1
+        assert deepest >= MAX_NESTING // 4
+        cell = build(compile_sources([_program(shape, deepest)], "deep"),
+                     environment("wario"))
+        assert certify(cell).certified
+        assert Machine(cell.encode()).run(max_instructions=100_000).halted
