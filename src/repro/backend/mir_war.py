@@ -338,8 +338,8 @@ class MachineRegionAnalysis(DataflowProblem):
     # -- transfer --------------------------------------------------------
     def _walk(self, block, state: _State, report: bool):
         """Run ``block``'s transfer over ``state`` in place.  With
-        ``report``, yield its :class:`MachineEvent` s as the walk reaches
-        them."""
+        ``report``, yield each :class:`MachineEvent` as the walk reaches
+        it."""
         for instr in block.instructions:
             op = instr.opcode
             if op == "checkpoint":
@@ -354,7 +354,8 @@ class MachineRegionAnalysis(DataflowProblem):
             if op == "bl":
                 # A callee operates strictly below the caller's sp, so it
                 # cannot touch the concrete facts tracked here; accesses
-                # through escaped pointers are the IR verifier's job.
+                # through escaped pointers are the IR verifier's job, and
+                # a transparent callee's are replayed from its summary.
                 if not self.calls_are_checkpoints:
                     continue
                 if instr.ops[0] not in self.transparent_callees:
@@ -527,9 +528,9 @@ def report_mfunction_war(analysis: MachineRegionAnalysis, events,
                          engine: DiagnosticEngine) -> None:
     """Emit ``events`` (the analysis's findings, consumed here if a
     generator) as ``mir-war-*`` diagnostics, then its structural
-    problems as ``mir-stack-shape``.  Discharge points, and the events of
-    the transparent-callee replay, are left to the idempotence
-    certifier: this verifier never tracked them."""
+    problems as ``mir-stack-shape``.  This verifier reports the stack
+    traffic of the function's own code: discharge points, and the events
+    of the transparent-callee replay, are the idempotence certifier's."""
     mfn = analysis.mfn
     for event in events:
         instr, fact = event.instr, event.fact
