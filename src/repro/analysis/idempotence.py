@@ -62,7 +62,7 @@ oracle: a statically certified cell must never diverge dynamically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..diagnostics import (
     ERROR,
@@ -79,11 +79,9 @@ VIOLATED = "violated"
 
 
 def _where(instr) -> str:
-    loc = getattr(instr, "loc", None)
-    if loc is not None and loc.known:
-        return str(loc)
-    block = getattr(instr, "parent", None)
-    return getattr(block, "name", "") or "<unknown>"
+    if instr.loc is not None and instr.loc.known:
+        return str(instr.loc)
+    return getattr(instr.parent, "name", "") or "<unknown>"
 
 
 def obligation(kind: str, region: str, at: str, detail: str,
@@ -310,8 +308,8 @@ def certify_module_idempotence(
     mmodule,
     machine_events: Dict[str, list],
     transparent: Set[str],
-    engine: Optional[DiagnosticEngine] = None,
-) -> Tuple[DiagnosticEngine, List[Dict[str, object]]]:
+    engine: DiagnosticEngine,
+) -> List[Dict[str, object]]:
     """Certify per-region idempotence of an instrumented module.
 
     ``functions`` holds the IR region findings of every function of the
@@ -320,13 +318,11 @@ def certify_module_idempotence(
     module after lowering) to its machine region events
     (:meth:`~repro.backend.mir_war.MachineRegionAnalysis.findings`), and
     ``transparent`` names the functions lowered without checkpoints.
-    Returns ``(engine, certificates)`` — one certificate dict per
+    Violations go to ``engine``.  Returns one certificate dict per
     function, in module order, each carrying its proof obligations.
     Only meaningful for instrumented configurations (the analysis model
     assumes checkpoints delimit regions).
     """
-    if engine is None:
-        engine = DiagnosticEngine()
     certificates: List[Dict[str, object]] = []
     for war in functions:
         name = war.function.name
@@ -348,7 +344,7 @@ def certify_module_idempotence(
             "obligations": obligations,
             "diagnostics": len(engine.diagnostics) - before,
         })
-    return engine, certificates
+    return certificates
 
 
 def certificates_verdict(certificates: List[Dict[str, object]]) -> str:

@@ -454,10 +454,9 @@ class MachineRegionAnalysis(DataflowProblem):
         name = instr.ops[0]
         if report:
             mod = self._callee_frame_ranges(name, want_mod=True)
-            if mod:
-                for fact in state.facts.values():
-                    if not fact.is_ir and fact.overlaps(mod):
-                        yield MachineEvent(CLOBBER, block, instr, fact)
+            for fact in state.facts.values():
+                if not fact.is_ir and fact.overlaps(mod):
+                    yield MachineEvent(CLOBBER, block, instr, fact)
         ref = self._callee_frame_ranges(name, want_mod=False)
         fact = None
         if ref and not interval_covers(state.covered, ref):
@@ -515,8 +514,6 @@ class MachineRegionAnalysis(DataflowProblem):
         """Solve the dataflow, then walk every reached block from its
         fixpoint in-state and yield each :class:`MachineEvent` once, in
         walk order.  ``structural`` is complete once the walk ends."""
-        if not self.mfn.blocks:
-            return
         in_states = solve(self)
         for block in self.mfn.blocks:
             state = in_states[block.name]

@@ -181,9 +181,8 @@ def certify(
         from ..analysis.idempotence import certify_module_idempotence
         from ..analysis.progress import certify_module_progress
 
-        _, certificates = certify_module_idempotence(
-            functions, mmodule, machine_events, transparent, engine=engine,
-        )
+        certificates = certify_module_idempotence(
+            functions, mmodule, machine_events, transparent, engine)
         _, progress = certify_module_progress(
             module,
             mmodule,

@@ -295,13 +295,11 @@ def run_middle_end(
             from ..analysis.summaries import compute_summaries
 
             summaries = compute_summaries(module, alias_mode=config.alias_mode)
-            points_to = summaries.arg_points_to
-        else:
-            # One Andersen solve for the whole middle end: the inserter
-            # and the elision pass share it instead of each recomputing.
-            from ..analysis.pointsto import compute_points_to
+        # One Andersen solve for the whole middle end: the inserter and
+        # the elision pass share it instead of each recomputing.
+        from ..analysis.pointsto import module_points_to
 
-            points_to = compute_points_to(module)
+        points_to = module_points_to(module, summaries)
         insert_checkpoints(
             module, alias_mode=config.alias_mode, summaries=summaries,
             points_to=points_to,

@@ -10,7 +10,6 @@ global scalars/arrays (with initializers), functions, ``if``/``while``/
 
 from __future__ import annotations
 
-import functools
 from typing import List, Optional, Tuple
 
 from . import c_ast as ast
@@ -22,12 +21,11 @@ class ParseError(Exception):
     pass
 
 
-#: The deepest nesting a program may use.  Every recursive cycle of the
-#: grammar passes through a statement, an assignment expression, a unary
-#: expression or a brace initializer, and each of those open at once is
-#: one level (a parenthesised operand takes two).  The bound keeps this
-#: parser, and each later pass that recurses over the syntax tree, well
-#: inside Python's default recursion limit.
+#: The deepest nesting a program may use: how many statements, assignment
+#: expressions, unary expressions and brace initializers may be open at
+#: once (a parenthesised operand opens two).  Every recursive cycle of the
+#: grammar passes through one of them, so the bound keeps this parser and
+#: each later pass over the syntax tree inside Python's recursion limit.
 MAX_NESTING = 128
 
 
@@ -35,16 +33,14 @@ def _nested(parse):
     """Count one nesting level while ``parse`` runs, and reject the
     program with a located :class:`ParseError` past :data:`MAX_NESTING`."""
 
-    @functools.wraps(parse)
     def parse_nested(self, *args):
         if self.depth == MAX_NESTING:
             raise ParseError(f"line {self.cur.line}: nesting deeper than "
                              f"{MAX_NESTING} levels")
         self.depth += 1
-        try:
-            return parse(self, *args)
-        finally:
-            self.depth -= 1
+        node = parse(self, *args)
+        self.depth -= 1  # a ParseError ends the parse: no unwinding
+        return node
 
     return parse_nested
 
