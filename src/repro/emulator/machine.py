@@ -462,8 +462,18 @@ class Machine:
         given no supply the rest runs under continuous power.  A resumed
         run re-creates the supply's iterator and skips the periods that
         ``stats.power_failures`` says are spent, so the supply must be
-        deterministic.
+        deterministic.  A halted machine returns its statistics
+        unchanged.  ``stop_after_commits`` must exceed the commits made
+        so far: a run could never stop at a count it has already passed.
         """
+        if (stop_after_commits is not None
+                and stop_after_commits <= self.stats.checkpoints):
+            raise ValueError(
+                f"stop_after_commits={stop_after_commits} is not past the "
+                f"{self.stats.checkpoints} commits already made"
+            )
+        if self.stats.halted:
+            return self.stats
         if self.fast_interp:
             return self._run_decoded(power, max_instructions,
                                      pause_before_failure, stop_after_commits)

@@ -8,19 +8,21 @@ schedule set (:mod:`repro.faultinject.plan`); replays every schedule via
 :class:`~repro.emulator.power.SchedulePower`; and certifies each replay
 **differentially**: final memory, outputs, and WAR verdict must match
 the oracle.  Any failing schedule is shrunk to a minimal failure-point
-subsequence before it is reported.  A replay stops where it provably
-rejoins the continuous run and takes the rest of its outcome from the
-oracle (:func:`_fast_forward`); the outcome is the same as a replay to
-halt.
+subsequence before it is reported.  A pair's replays run in order of
+first failure off one shared continuous run, which each forks at its
+pause point instead of re-running its own prefix; a replay stops where
+it provably rejoins the continuous run and takes the rest of its
+outcome from the oracle (:func:`_fast_forward`).  The outcome is the
+same as a replay to halt.
 
-Execution reuses the parallel evaluation engine of PR 4: cells fan out
-over :func:`repro.eval.runner.map_ordered` (``--jobs`` /
-``REPRO_JOBS``), every worker shares the content-addressed
-:mod:`repro.cache`, and both oracle records and cell outcomes are
-persisted under ``inject-`` keys — so campaigns are resumable (an
-interrupted campaign replays completed cells from disk) and
-deterministic across repetition and worker counts (results merge in
-submission order; planning never depends on execution).
+Execution reuses the parallel evaluation engine: pairs fan out over
+:func:`repro.eval.runner.map_ordered` (``--jobs`` / ``REPRO_JOBS``),
+every worker shares the content-addressed :mod:`repro.cache`, and both
+oracle records and cell outcomes are persisted under ``inject-`` keys,
+one per cell — so campaigns are resumable (an interrupted campaign
+replays completed cells from disk) and deterministic across repetition
+and worker counts (results merge in submission order; planning never
+depends on execution).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..benchsuite import BENCHMARKS, compile_benchmark, get_benchmark
 from ..cache import inject_key, resolve_cache
@@ -302,29 +304,88 @@ def _replay(bench, program, schedule: Schedule,
     return _outcome(bench, machine, schedule, error, interrupt_interval)
 
 
-def _fast_forward(bench, program, schedule: Schedule,
-                  oracle: OracleTotals) -> Optional[CellOutcome]:
+class _ContinuousRun:
+    """One pair's continuous-power run, shared by its cells in order of
+    first failure.
+
+    ``pause`` only moves forward: it pauses just before each cell's
+    first failure in turn, and the cell's replay forks it there.
+    ``rejoin`` is a second copy, brought to each replay's commit count.
+    Both machines are created on first use, and a machine whose run
+    raised is dropped rather than resumed.
+    """
+
+    def __init__(self, program, limit: int):
+        self.program = program
+        self.limit = limit
+        self.pause: Optional[Machine] = None
+        self.rejoin: Optional[Machine] = None
+
+    def paused_before(self, first: int) -> Machine:
+        """The run paused just before a failure due after ``first``
+        cycles of power-on time (or halted before it).  ``first`` must
+        not fall below an earlier call's.
+
+        A supply's first period ends where ``period_used + cost``
+        exceeds it, and this machine has never failed, so
+        ``SchedulePower((first,))`` pauses it where a fresh machine
+        under any schedule starting at ``first`` pauses."""
+        machine, self.pause = self.pause, None
+        if machine is None:
+            machine = Machine(self.program, war_check=True)
+        machine.run(SchedulePower((first,)), self.limit,
+                    pause_before_failure=True)
+        self.pause = machine
+        return machine
+
+    def after_commit(self, commits: int) -> Machine:
+        """The run stopped right after its ``commits``-th commit, or
+        halted; ``commits`` must be past the pause point.
+
+        ``rejoin`` is advanced when it lies between the pause point and
+        that commit.  Otherwise it is forked again from ``pause``: past
+        the commit it cannot go back, and behind the pause point it
+        would re-run what ``pause`` has already run."""
+        machine, self.rejoin = self.rejoin, None
+        if machine is not None and (
+                machine.stats.checkpoints > commits
+                or machine.stats.instructions < self.pause.stats.instructions):
+            machine = None  # free its memory image before the fork below
+        if machine is None:
+            machine = self.pause.fork()
+        if machine.stats.checkpoints < commits:
+            machine.run(None, self.limit, stop_after_commits=commits)
+        self.rejoin = machine
+        return machine
+
+
+def _fast_forward(bench, program, schedule: Schedule, oracle: OracleTotals,
+                  run: Optional[_ContinuousRun] = None,
+                  ) -> Optional[CellOutcome]:
     """The outcome of replaying ``schedule`` without emulating the part
     of the replay that repeats the continuous run, or ``None`` when the
     replay has to run to halt.
 
-    The continuous run is paused just before the schedule's first
-    failure and forked; the fork replays the schedule and stops at its
-    first checkpoint commit after the last scheduled failure, and the
-    continuous copy advances to the same commit count.  If the two
-    machines are then in the same state, the rest of the replay is the
-    rest of the continuous run, so the final memory, outputs and the
-    remaining instructions, cycles and commits are the oracle's.  The
-    caller guarantees a WAR-clean oracle and no interrupt timer.
+    The continuous ``run`` (a fresh one by default) is paused just
+    before the schedule's first failure and forked; the fork replays
+    the schedule and stops at its first checkpoint commit after the
+    last scheduled failure, and a continuous copy is brought to the
+    same commit count.  If the two machines are then in the same state,
+    the rest of the replay is the rest of the continuous run, so the
+    final memory, outputs and the remaining instructions, cycles and
+    commits are the oracle's.  The caller guarantees a WAR-clean oracle
+    and no interrupt timer.
     """
     limit = bench.max_instructions
     power = SchedulePower(schedule)
-    continuous = Machine(program, war_check=True)
+    if run is None:
+        run = _ContinuousRun(program, limit)
     try:
-        if continuous.run(power, limit, pause_before_failure=True).halted:
+        paused = run.paused_before(schedule[0])
+        if paused.stats.halted:
             # the program ends before the first failure: a whole replay
-            return _outcome(bench, continuous, schedule, "", None)
-        replay = continuous.fork()
+            return _outcome(bench, paused, schedule, "", None)
+        replay = paused.fork()
         stats = replay.stats
         while True:
             replay.run(power, limit, stop_after_commits=stats.checkpoints + 1)
@@ -332,10 +393,10 @@ def _fast_forward(bench, program, schedule: Schedule,
                 return _outcome(bench, replay, schedule, "", None)
             if stats.power_failures >= len(schedule):
                 break
-        rejoined = continuous.run(None, limit,
-                                  stop_after_commits=stats.checkpoints)
+        continuous = run.after_commit(stats.checkpoints)
     except EmulationError:
         return None
+    rejoined = continuous.stats
     if rejoined.halted or not replay.same_state(continuous):
         return None
     instructions = stats.instructions + oracle.instructions - rejoined.instructions
@@ -356,35 +417,59 @@ def _fast_forward(bench, program, schedule: Schedule,
     )
 
 
+def _execute_pair(
+    bench_name: str, env: Env, schedules: Sequence[Schedule], cache=None,
+    interrupt_interval: Optional[int] = None,
+    oracle: Union[OracleRecord, OracleTotals, None] = None,
+) -> List[CellOutcome]:
+    """Replay a pair's failure schedules; outcomes in ``schedules`` order.
+
+    Each cell is looked up and stored under its own inject key, so a
+    partly cached pair emulates only its missing cells.  Given the
+    pair's WAR-clean ``oracle`` and no interrupt timer, the missing
+    cells run in order of first failure, each fast-forwarded off one
+    shared continuous run (:func:`_fast_forward`); the outcomes are the
+    same as replays to halt.
+    """
+    bench = get_benchmark(bench_name)
+    program = compile_benchmark(bench, env, None, cache=cache)
+    store = resolve_cache(cache) if program.cache_key else None
+    run = None
+    if oracle is not None and oracle.war_clean and interrupt_interval is None:
+        run = _ContinuousRun(program, bench.max_instructions)
+    outcomes: List[Optional[CellOutcome]] = [None] * len(schedules)
+    for index in sorted(range(len(schedules)), key=lambda i: schedules[i][0]):
+        schedule = schedules[index]
+        key = None
+        if store is not None:
+            key = inject_key(program.cache_key, schedule, True,
+                             bench.max_instructions, repr(DEFAULT_COSTS),
+                             interrupt_interval=interrupt_interval)
+            hit = store.get(key)
+            if hit is not None:
+                outcomes[index] = hit
+                continue
+        outcome = None
+        if run is not None:
+            outcome = _fast_forward(bench, program, schedule, oracle, run)
+        if outcome is None:
+            outcome = _replay(bench, program, schedule, interrupt_interval)
+        if key is not None:
+            store.put(key, outcome)
+        outcomes[index] = outcome
+    return outcomes
+
+
 def _execute_schedule(
     bench_name: str, env: Env, schedule: Schedule, cache=None,
     interrupt_interval: Optional[int] = None,
     oracle: Union[OracleRecord, OracleTotals, None] = None,
 ) -> CellOutcome:
-    """Replay one failure schedule (disk-cached under its inject key).
-
-    Given the pair's WAR-clean ``oracle`` and no interrupt timer, the
-    replay is fast-forwarded (:func:`_fast_forward`); the outcome is the
-    same either way.
-    """
-    bench = get_benchmark(bench_name)
-    program = compile_benchmark(bench, env, None, cache=cache)
-    store = resolve_cache(cache)
-    key = None
-    if store is not None and program.cache_key:
-        key = inject_key(program.cache_key, schedule, True,
-                         bench.max_instructions, repr(DEFAULT_COSTS),
-                         interrupt_interval=interrupt_interval)
-        hit = store.get(key)
-        if hit is not None:
-            return hit
-    outcome = None
-    if oracle is not None and oracle.war_clean and interrupt_interval is None:
-        outcome = _fast_forward(bench, program, schedule, oracle)
-    if outcome is None:
-        outcome = _replay(bench, program, schedule, interrupt_interval)
-    if key is not None:
-        store.put(key, outcome)
+    """Replay one failure schedule: the one-cell case of
+    :func:`_execute_pair`."""
+    (outcome,) = _execute_pair(bench_name, env, (schedule,), cache,
+                               interrupt_interval=interrupt_interval,
+                               oracle=oracle)
     return outcome
 
 
@@ -396,11 +481,11 @@ def _oracle_worker(payload) -> OracleRecord:
     )
 
 
-def _cell_worker(payload) -> CellOutcome:
-    (bench_name, env, schedule, cache_dir, use_disk, interrupt_interval,
+def _pair_worker(payload) -> List[CellOutcome]:
+    (bench_name, env, schedules, cache_dir, use_disk, interrupt_interval,
      oracle) = payload
-    return _execute_schedule(
-        bench_name, env, schedule, worker_cache(cache_dir, use_disk),
+    return _execute_pair(
+        bench_name, env, schedules, worker_cache(cache_dir, use_disk),
         interrupt_interval=interrupt_interval, oracle=oracle,
     )
 
@@ -520,23 +605,20 @@ def run_campaign(config: CampaignConfig, cache=None):
         )
         plans.append(plan)
 
-    # Phase 3 — replay every cell of every pair through one flat fan-out.
-    payloads = [
-        (bench, env, schedule, cache_dir, use_disk,
-         config.interrupt_interval, oracle.totals)
-        for (bench, env), oracle, plan in zip(pairs, oracles, plans)
-        for schedule in plan
-    ]
-    outcomes = map_ordered(_cell_worker, payloads, config.jobs)
+    # Phase 3 — replay every pair's cells, one payload per pair.
+    outcomes = map_ordered(
+        _pair_worker,
+        [(bench, env, plan, cache_dir, use_disk, config.interrupt_interval,
+          oracle.totals)
+         for (bench, env), oracle, plan in zip(pairs, oracles, plans)],
+        config.jobs,
+    )
 
     # Phase 4 — certify differentially, shrink the failures.
     results: List[PairResult] = []
-    cursor = 0
-    for (bench, env), oracle, plan in zip(pairs, oracles, plans):
+    for (bench, env), oracle, pair_outcomes in zip(pairs, oracles, outcomes):
         judged: List[Judged] = []
-        for schedule in plan:
-            outcome = outcomes[cursor]
-            cursor += 1
+        for outcome in pair_outcomes:
             verdict, reason = certify_outcome(outcome, oracle)
             entry = Judged(outcome, verdict, reason)
             if verdict != "pass":

@@ -347,3 +347,53 @@ class TestPauseStopFork:
         assert (self.state(child), child._trace.as_tuples()) == whole
         parent.run(self.POWER, self.LIMIT)
         assert (self.state(parent), parent._trace.as_tuples()) == whole
+
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    def test_a_halted_machine_stays_halted(self, fast_interp):
+        machine = Machine(self.program("wario"), fast_interp=fast_interp)
+        stats = machine.run(None, self.LIMIT)
+        assert stats.halted
+        halted = self.state(machine)
+        for power in (None, self.POWER):
+            assert machine.run(power, self.LIMIT) is stats
+            assert machine.run(power, self.LIMIT,
+                               pause_before_failure=True) is stats
+            assert machine.run(power, self.LIMIT,
+                               stop_after_commits=stats.checkpoints + 1) is stats
+        assert self.state(machine) == halted
+
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    def test_a_stale_commit_count_is_refused(self, fast_interp):
+        machine = Machine(self.program("wario"), fast_interp=fast_interp)
+        with pytest.raises(ValueError, match="stop_after_commits=0"):
+            machine.run(None, self.LIMIT, stop_after_commits=0)
+        stats = machine.run(None, self.LIMIT, stop_after_commits=3)
+        stopped = self.state(machine)
+        for commits in (3, 2):
+            with pytest.raises(ValueError, match="3 commits already made"):
+                machine.run(None, self.LIMIT, stop_after_commits=commits)
+        assert self.state(machine) == stopped
+        machine.run(None, self.LIMIT, stop_after_commits=4)
+        assert stats.checkpoints == 4 and not stats.halted
+
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    def test_successive_pauses_equal_fresh_pauses(self, fast_interp):
+        """One machine paused in turn under one-point supplies, at
+        non-decreasing failure points, stands where a fresh machine
+        pauses under a schedule starting at each point, and a fork of
+        it resumes that schedule as the fresh machine does."""
+        program = self.program("wario")
+        end = self.whole(program, None, fast_interp)[0].cycles
+        shared = Machine(program, fast_interp=fast_interp)
+        for first in (3_000, 3_000, 11_500, 20_000, end + 1, end + 1):
+            stats = shared.run(SchedulePower((first,)), self.LIMIT,
+                               pause_before_failure=True)
+            power = SchedulePower((first, 4_000))
+            fresh = Machine(program, fast_interp=fast_interp)
+            fresh.run(power, self.LIMIT, pause_before_failure=True)
+            assert shared.same_state(fresh) and stats == fresh.stats
+            assert stats.halted == (first > end)
+            replay = shared.fork()
+            replay.run(power, self.LIMIT)
+            fresh.run(power, self.LIMIT)
+            assert self.state(replay) == self.state(fresh)
