@@ -2,14 +2,8 @@
 analyses (the NOELLE/PDG stand-in that WARio's transformations consume)."""
 
 from .alias import AFFINE, ALIAS_MODES, CONSERVATIVE, PRECISE, AliasAnalysis, PointerInfo
-from .cfg import predecessors_map, reachability, reachable_blocks, reverse_postorder
-from .dominators import (
-    DominatorTree,
-    PostDominatorTree,
-    dominance_frontiers,
-    dominator_tree,
-    post_dominator_tree,
-)
+from .cfg import reachability, reverse_postorder
+from .dominators import DominatorTree, dominance_frontiers, dominator_tree
 from .loops import Loop, LoopInfo, find_induction_variables, loop_info
 from .memdep import (
     BACKWARD,
@@ -42,9 +36,8 @@ from .summaries import (
 __all__ = [
     "AliasAnalysis", "PointerInfo", "PRECISE", "CONSERVATIVE", "AFFINE",
     "ALIAS_MODES",
-    "reverse_postorder", "reachability", "reachable_blocks", "predecessors_map",
-    "DominatorTree", "PostDominatorTree", "dominator_tree",
-    "post_dominator_tree", "dominance_frontiers",
+    "reverse_postorder", "reachability",
+    "DominatorTree", "dominator_tree", "dominance_frontiers",
     "Loop", "LoopInfo", "loop_info", "find_induction_variables",
     "WARIndex", "WARViolation", "find_wars", "access_size",
     "FORWARD", "BACKWARD", "summary_sets_intersect",

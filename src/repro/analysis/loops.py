@@ -2,35 +2,33 @@
 
 WARio's Loop Write Clusterer consumes exactly this information: the loop
 header, latch(es), body blocks, exit edges, and nesting depth (used as the
-checkpoint-location cost in the hitting set).
+checkpoint-location cost in the hitting set).  :func:`natural_loops` is
+the one loop finder: :func:`loop_info` runs it on IR functions and
+:func:`repro.analysis.progress.loop_forest` on machine and IR functions
+alike.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .cfg import predecessors_map
 from .dominators import DominatorTree, dominator_tree
 
 
 class Loop:
-    """A natural loop: ``header`` plus the blocks of all its back edges."""
+    """A natural loop: ``header`` plus the blocks of all its back edges,
+    in reverse postorder (so the header comes first)."""
 
-    def __init__(self, header):
+    def __init__(self, header, blocks: List, latches: List):
         self.header = header
-        self.blocks: List = [header]
-        self._block_ids: Set[int] = {id(header)}
-        self.latches: List = []
+        self.blocks = blocks
+        self._block_ids = {id(block) for block in blocks}
+        self.latches = latches
         self.parent: Optional["Loop"] = None
         self.children: List["Loop"] = []
 
     def contains(self, block) -> bool:
         return id(block) in self._block_ids
-
-    def add_block(self, block) -> None:
-        if id(block) not in self._block_ids:
-            self._block_ids.add(id(block))
-            self.blocks.append(block)
 
     @property
     def depth(self) -> int:
@@ -53,31 +51,8 @@ class Loop:
                     edges.append((block, succ))
         return edges
 
-    def exit_blocks(self) -> List:
-        seen, out = set(), []
-        for _, outside in self.exit_edges():
-            if id(outside) not in seen:
-                seen.add(id(outside))
-                out.append(outside)
-        return out
-
-    def preheader(self) -> Optional[object]:
-        """The unique out-of-loop predecessor of the header, if there is
-        exactly one and it branches only to the header."""
-        outside = [p for p in self.header.predecessors if not self.contains(p)]
-        if len(outside) != 1:
-            return None
-        cand = outside[0]
-        if len(cand.successors) != 1:
-            return None
-        return cand
-
     def is_single_block(self) -> bool:
         return len(self.blocks) == 1
-
-    def instructions(self):
-        for block in self.blocks:
-            yield from block.instructions
 
     def __repr__(self):
         return f"<Loop header={self.header.name} depth={self.depth} blocks={len(self.blocks)}>"
@@ -90,12 +65,9 @@ class LoopInfo:
         self.loops = loops
         self.function = function
         self._innermost: Dict[int, Loop] = {}
-        for loop in self._loops_outer_to_inner():
+        for loop in sorted(self.loops, key=lambda l: l.depth):
             for block in loop.blocks:
                 self._innermost[id(block)] = loop
-
-    def _loops_outer_to_inner(self) -> List[Loop]:
-        return sorted(self.loops, key=lambda l: l.depth)
 
     def innermost_loop_of(self, block) -> Optional[Loop]:
         return self._innermost.get(id(block))
@@ -113,32 +85,44 @@ class LoopInfo:
             loop = loop.parent
         return None
 
-    def top_level_loops(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
-
     def __iter__(self):
         return iter(self.loops)
 
 
-def loop_info(function, domtree: Optional[DominatorTree] = None) -> LoopInfo:
-    """Detect natural loops from back edges (tail -> dominating header)."""
-    domtree = domtree or dominator_tree(function)
-    preds = predecessors_map(function)
-    reachable = {id(b) for b in domtree.blocks}
+def natural_loops(domtree: DominatorTree) -> List[Loop]:
+    """The natural loops of ``domtree``'s graph, nested.
 
-    loops_by_header: Dict[int, Loop] = {}
-    for block in domtree.blocks:
-        for succ in block.successors:
-            if domtree.dominates(succ, block):
-                loop = loops_by_header.get(id(succ))
-                if loop is None:
-                    loop = Loop(succ)
-                    loops_by_header[id(succ)] = loop
-                loop.latches.append(block)
-                _grow_loop(loop, block, preds, reachable)
-
-    loops = list(loops_by_header.values())
-    # Nesting: loop A is a child of the smallest loop B != A containing A's header.
+    A back edge is an edge whose target dominates its source; a loop is
+    its header plus every node that reaches one of its latches without
+    passing the header.  Loops are listed in order of discovery: their
+    first back edge in reverse postorder, then successor order.  Each
+    loop's parent is the smallest other loop containing its header.
+    """
+    graph = domtree.graph
+    members: Dict[int, set] = {}  # header number -> member numbers
+    latches: Dict[int, List[int]] = {}
+    for source, targets in enumerate(graph.succs):
+        for header in targets:
+            if header > source or not domtree.dominates_number(header, source):
+                continue  # a header precedes its latches in reverse postorder
+            body = members.setdefault(header, {header})
+            latches.setdefault(header, []).append(source)
+            body.add(source)
+            stack = [source]
+            while stack:
+                node = stack.pop()
+                if node == header:
+                    continue  # do not walk above the header
+                for pred in graph.preds[node]:
+                    if pred not in body:
+                        body.add(pred)
+                        stack.append(pred)
+    nodes = graph.nodes
+    loops = [
+        Loop(nodes[header], [nodes[n] for n in sorted(body)],
+             [nodes[n] for n in latches[header]])
+        for header, body in members.items()
+    ]
     by_size = sorted(loops, key=lambda l: len(l.blocks))
     for loop in loops:
         for candidate in by_size:
@@ -148,70 +132,56 @@ def loop_info(function, domtree: Optional[DominatorTree] = None) -> LoopInfo:
                 loop.parent = candidate
                 candidate.children.append(loop)
                 break
-    return LoopInfo(loops, function)
+    return loops
 
 
-def _grow_loop(loop: Loop, latch, preds, reachable: Set[int]) -> None:
-    """Add all blocks that reach ``latch`` without passing the header."""
-    if id(latch) not in reachable:
-        return
-    loop.add_block(latch)
-    stack = [latch]
-    while stack:
-        block = stack.pop()
-        if block is loop.header:
-            continue  # do not walk above the header
-        for pred in preds[id(block)]:
-            if id(pred) in reachable and not loop.contains(pred):
-                loop.add_block(pred)
-                stack.append(pred)
+def loop_info(function, domtree: Optional[DominatorTree] = None) -> LoopInfo:
+    """The natural loops of an IR function."""
+    domtree = domtree or dominator_tree(function)
+    return LoopInfo(natural_loops(domtree), function)
+
+
+def affine_chain(value) -> Tuple[object, int]:
+    """Decompose ``value`` as ``base + offset`` through a chain of
+    constant adds/subs (as loop rotation and unrolling produce)."""
+    from ..ir.instructions import BinaryOp
+    from ..ir.values import Constant, as_signed
+
+    offset = 0
+    for _ in range(64):  # bound the walk
+        if (
+            isinstance(value, BinaryOp)
+            and value.op in ("add", "sub")
+            and isinstance(value.rhs, Constant)
+        ):
+            step = as_signed(value.rhs.value)
+            offset += -step if value.op == "sub" else step
+            value = value.lhs
+            continue
+        break
+    return value, offset
 
 
 def find_induction_variables(loop: Loop) -> Dict[int, Tuple[object, int]]:
     """Simple induction variables of ``loop``.
 
     Returns id(phi) -> (phi, step) for header phis of the form
-    ``phi = [init, preheader], [phi +/- C, latch]`` with constant C.
-    This is the SCEV slice that the precise (NOELLE-style) alias analysis
-    uses to disambiguate ``a[i]`` from ``a[i+c]``.
+    ``phi = [init, preheader], [phi +/- C, latch]`` with constant C (or
+    a chain of them, as produced by unrolling).  This is the SCEV slice
+    that the precise (NOELLE-style) alias analysis uses to disambiguate
+    ``a[i]`` from ``a[i+c]``.
     """
-    from ..ir.instructions import BinaryOp, Phi
-    from ..ir.values import Constant
-
     out: Dict[int, Tuple[object, int]] = {}
-
-    def chase_step(value, phi) -> Optional[int]:
-        """Total constant step if ``value`` is phi plus a chain of
-        constant adds/subs (as produced by unrolling), else None."""
-        total = 0
-        for _ in range(64):  # bound the walk
-            if value is phi:
-                return total
-            if (
-                isinstance(value, BinaryOp)
-                and value.op in ("add", "sub")
-                and isinstance(value.rhs, Constant)
-            ):
-                step = value.rhs.value
-                if step >= 1 << 31:
-                    step -= 1 << 32
-                total += -step if value.op == "sub" else step
-                value = value.lhs
-                continue
-            return None
-        return None
-
     for phi in loop.header.phis():
         steps = []
-        ok = True
         for value, pred in phi.incoming:
             if not loop.contains(pred):
                 continue  # entry value
-            step = chase_step(value, phi)
-            if step is None:
-                ok = False
+            base, step = affine_chain(value)
+            if base is not phi:
                 break
             steps.append(step)
-        if ok and steps and all(s == steps[0] for s in steps):
-            out[id(phi)] = (phi, steps[0])
+        else:
+            if steps and all(s == steps[0] for s in steps):
+                out[id(phi)] = (phi, steps[0])
     return out

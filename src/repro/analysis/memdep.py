@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..ir.instructions import Call, Checkpoint, Load, Store
 from .alias import AliasAnalysis
-from .cfg import reachability
+from .cfg import ir_successors, reachability
 from .loops import Loop, LoopInfo
 
 #: WAR kinds: ``forward`` = store strictly after load in the same-iteration
@@ -159,7 +159,7 @@ class WARIndex:
                 self.stores.extend(stores)
                 self.store_blocks.append(
                     (block, [store.index for store in stores], stores))
-        self.reach = reachability(function)
+        self.reach = reachability(function.blocks, ir_successors)
         self._common: Dict[Tuple[int, int], Optional[Loop]] = {}
 
     def _war(self, load: _Access, store: _Access) -> Optional[WARViolation]:

@@ -77,9 +77,13 @@ from typing import Dict, List, Optional, Tuple
 from ..diagnostics import LEVEL_CERTIFY, DiagnosticEngine
 from ..emulator.costs import DEFAULT_COSTS, CostModel
 from ..ir.instructions import Call, Checkpoint
+from ..ir.values import as_signed
+from .cfg import Graph, ir_successors
 from .dataflow import DataflowProblem, solve
-from .dominators import dominator_tree
-from .loops import find_induction_variables, loop_info
+from .dominators import DominatorTree, dominator_tree
+from .loops import (
+    Loop, affine_chain, find_induction_variables, loop_info, natural_loops,
+)
 
 #: The lattice top: no finite bound.
 UNBOUNDED = float("inf")
@@ -88,40 +92,15 @@ _M32 = 0xFFFFFFFF
 
 
 class IrreducibleCFG(Exception):
-    """The condensed machine CFG is not a DAG after collapsing natural
-    loops — positional back edges did not capture its cycles, so no
-    structural bound exists.  The caller degrades to ``unbounded``."""
+    """The CFG has a cycle its natural loops do not capture (a retreating
+    edge whose target does not dominate its source), or is not a DAG
+    once they are collapsed, so no structural bound exists.  The caller
+    degrades to ``unbounded``."""
 
 
 # ---------------------------------------------------------------------------
 # Loop trip-bound inference (middle-end IR)
 # ---------------------------------------------------------------------------
-
-def _signed(value: int) -> int:
-    value &= _M32
-    return value - (1 << 32) if value >= (1 << 31) else value
-
-
-def _chase_affine(value) -> Tuple[object, int]:
-    """Decompose ``value`` as ``base + offset`` through a chain of
-    constant adds/subs (as loop rotation and unrolling produce)."""
-    from ..ir.instructions import BinaryOp
-    from ..ir.values import Constant
-
-    offset = 0
-    for _ in range(64):  # bound the walk
-        if (
-            isinstance(value, BinaryOp)
-            and value.op in ("add", "sub")
-            and isinstance(value.rhs, Constant)
-        ):
-            step = _signed(value.rhs.value)
-            offset += -step if value.op == "sub" else step
-            value = value.lhs
-            continue
-        break
-    return value, offset
-
 
 #: ``a pred b`` ⇔ ``b SWAP[pred] a``
 _SWAP = {
@@ -142,7 +121,7 @@ def _count_true(pred: str, start: int, step: int, limit: int) -> Optional[int]:
     before the first failure; ``None`` when the sequence never fails
     (or wraps in a way the closed forms do not cover)."""
     if pred in ("slt", "sle", "sgt", "sge"):
-        s, b = _signed(start), _signed(limit)
+        s, b = as_signed(start), as_signed(limit)
     else:
         s, b = start & _M32, limit & _M32
     if pred in ("slt", "ult"):
@@ -282,8 +261,8 @@ def loop_trip_bounds(
             cond = term.condition
             if not isinstance(cond, ICmp):
                 continue
-            base_l, off_l = _chase_affine(cond.lhs)
-            base_r, off_r = _chase_affine(cond.rhs)
+            base_l, off_l = affine_chain(cond.lhs)
+            base_r, off_r = affine_chain(cond.rhs)
             pred = cond.predicate
             if id(base_l) in ivs:
                 phi, step = ivs[id(base_l)]
@@ -425,105 +404,29 @@ def _power(body: PathSummary, trips: float) -> PathSummary:
 
 
 # ---------------------------------------------------------------------------
-# The loop forest: one finder for machine and middle-end functions
-# (positional back edges, same convention as repro.backend.mir_war /
-# CFGProblem)
+# The loop forest: the shared finder plus a reducibility check
 # ---------------------------------------------------------------------------
 
-class _Loop:
-    __slots__ = ("header", "blocks", "parent", "children")
+def loop_forest(entry, successors) -> List[Loop]:
+    """The natural loops (:func:`~repro.analysis.loops.natural_loops`) of
+    the function whose entry block is ``entry``; ``successors`` is a
+    function from a block to its successor blocks (a method on machine
+    blocks, a property on IR blocks).
 
-    def __init__(self, header: str):
-        self.header = header
-        self.blocks = {header}
-        self.parent: Optional["_Loop"] = None
-        self.children: List["_Loop"] = []
-
-
-def loop_forest(blocks, successors) -> Tuple[Dict[str, _Loop],
-                                             Dict[str, List[str]]]:
-    """Natural loops of a function given as its ``blocks`` (entry first)
-    and ``successors``, a function from a block to its successor blocks
-    (a method on machine blocks, a property on IR blocks).  Back edges
-    come from real dominance over the name graph (an edge whose target
-    dominates its source; :func:`~repro.analysis.dominators._chk_idoms`).
-
-    Returns ``(loops by header name, successor names by block name)``,
-    each loop holding block names; raises :class:`IrreducibleCFG` when a
-    retreating edge is not a back edge or the loops are not properly
-    nested."""
-    from .dominators import DominatorTree, _chk_idoms
-
-    preds: Dict[str, List[str]] = {block.name: [] for block in blocks}
-    succs: Dict[str, List[str]] = {}
-    by_name = {block.name: block for block in blocks}
-    for block in blocks:
-        names = [succ.name for succ in successors(block)]
-        succs[block.name] = names
-        for name in names:
-            preds[name].append(block.name)
-    entry_block = blocks[0]
-
-    # Reverse postorder from the entry (unreachable blocks excluded),
-    # depth-first over an explicit stack of successor iterators so deep
-    # CFGs cannot exhaust the recursion limit.
-    rpo: List = []
-    visited = {entry_block.name}
-    stack = [(entry_block, iter(succs[entry_block.name]))]
-    while stack:
-        block, pending = stack[-1]
-        for name in pending:
-            if name not in visited:
-                visited.add(name)
-                stack.append((by_name[name], iter(succs[name])))
-                break
-        else:
-            stack.pop()
-            rpo.append(block)
-    rpo.reverse()
-    rpo_index = {block.name: i for i, block in enumerate(rpo)}
-    idom = _chk_idoms(
-        rpo, entry_block, lambda b: [by_name[p] for p in preds[b.name]
-                                     if p in rpo_index]
-    )
-    domtree = DominatorTree(idom, entry_block, rpo)
-
-    loops: Dict[str, _Loop] = {}
-    for block in rpo:
-        for succ in succs[block.name]:
-            if rpo_index.get(succ, len(rpo)) > rpo_index[block.name]:
-                continue  # forward (or cross-to-unreachable) edge
-            if not domtree.dominates(by_name[succ], block):
+    Raises :class:`IrreducibleCFG` when a retreating edge (one going
+    backwards in reverse postorder) is not a back edge: its target does
+    not dominate its source, so the loops do not capture every cycle."""
+    domtree = DominatorTree(Graph(entry, successors))
+    graph = domtree.graph
+    for source, targets in enumerate(graph.succs):
+        for target in targets:
+            if target <= source and not domtree.dominates_number(target, source):
                 raise IrreducibleCFG(
-                    f"retreating edge {block.name} → {succ} whose target "
-                    f"does not dominate its source"
+                    f"retreating edge {graph.nodes[source].name} → "
+                    f"{graph.nodes[target].name} whose target does not "
+                    f"dominate its source"
                 )
-            loop = loops.setdefault(succ, _Loop(succ))
-            stack = [block.name]
-            loop.blocks.add(block.name)
-            while stack:
-                name = stack.pop()
-                if name == loop.header:
-                    continue
-                for pred in preds[name]:
-                    if pred not in loop.blocks and pred in rpo_index:
-                        loop.blocks.add(pred)
-                        stack.append(pred)
-    ordered = sorted(loops.values(), key=lambda l: len(l.blocks))
-    for loop in ordered:
-        for candidate in ordered:
-            if candidate is loop or len(candidate.blocks) <= len(loop.blocks):
-                continue
-            if loop.header in candidate.blocks:
-                if not loop.blocks <= candidate.blocks:
-                    raise IrreducibleCFG(
-                        f"loops at {loop.header} and {candidate.header} "
-                        f"overlap without nesting"
-                    )
-                loop.parent = candidate
-                candidate.children.append(loop)
-                break
-    return loops, succs
+    return natural_loops(domtree)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +522,7 @@ def _block_summary(block, costs: CostModel,
     return summary
 
 
-def _condense(members, entry: str, loops: List[_Loop],
+def _condense(members, entry: str, loops: List[Loop],
               succs: Dict[str, List[str]],
               node_summaries: Dict[object, PathSummary],
               iteration: bool):
@@ -635,9 +538,9 @@ def _condense(members, entry: str, loops: List[_Loop],
     for name in members:
         top[name] = name
     for loop in loops:
-        key = ("loop", loop.header)
-        for name in loop.blocks:
-            top[name] = key
+        key = ("loop", loop.header.name)
+        for block in loop.blocks:
+            top[block.name] = key
 
     keys: List[object] = []
     for name in members:  # membership order = layout order
@@ -732,39 +635,43 @@ def _summarize(blocks, successors, block_summaries: Dict[str, PathSummary],
     """Whole-function path summary plus per-loop metadata: the one
     summariser behind the machine certificate and the IR estimate.
 
-    ``blocks`` and ``successors`` are as for :func:`loop_forest`,
+    ``blocks`` are the function's blocks in layout order, entry first,
+    and ``successors`` is as for :func:`loop_forest`;
     ``block_summaries`` maps each block name to its own summary, and
     ``trips`` each loop-header name to its trip bound (missing:
     :data:`UNBOUNDED`).  Loops collapse innermost-first into summary
     nodes — the body iterated up to its trip bound, then one partial pass
     to the exit edge — and the function body is solved over the
     resulting DAG."""
-    loops, succs = loop_forest(blocks, successors)
+    loops = loop_forest(blocks[0], successors)
+    succs = {block.name: [succ.name for succ in successors(block)]
+             for block in blocks}
     node_summaries: Dict[object, PathSummary] = dict(block_summaries)
 
     loops_meta: List[Dict[str, object]] = []
     # Innermost first: children before parents.
-    for loop in sorted(loops.values(), key=lambda l: len(l.blocks)):
-        bound = trips.get(loop.header, UNBOUNDED)
-        members = [b.name for b in blocks if b.name in loop.blocks]
+    for loop in sorted(loops, key=lambda l: len(l.blocks)):
+        header = loop.header.name
+        bound = trips.get(header, UNBOUNDED)
+        members = [b.name for b in blocks if loop.contains(b)]
         partial, body = _condense(
-            members, loop.header, loop.children, succs, node_summaries,
+            members, header, loop.children, succs, node_summaries,
             iteration=True,
         )
         if body is None:
-            raise IrreducibleCFG(f"loop at {loop.header} has no latch path")
+            raise IrreducibleCFG(f"loop at {header} has no latch path")
         iterated = _power(body, max(bound, 1))
-        node_summaries[("loop", loop.header)] = (
+        node_summaries[("loop", header)] = (
             _seq(iterated, partial) if partial is not None else iterated
         )
         loops_meta.append({
-            "header": loop.header,
+            "header": header,
             "trip_bound": None if bound == UNBOUNDED else int(bound),
             "checkpoint_free_iteration": body.through is not None,
         })
 
     members = [block.name for block in blocks]
-    top_loops = [loop for loop in loops.values() if loop.parent is None]
+    top_loops = [loop for loop in loops if loop.parent is None]
     summary, _ = _condense(
         members, blocks[0].name, top_loops, succs, node_summaries,
         iteration=False,
@@ -1068,7 +975,7 @@ class IRProgress:
 
     def _summarize(self, function, ignore) -> PathSummary:
         summary, _loops = _summarize(
-            function.blocks, lambda block: block.successors,
+            function.blocks, ir_successors,
             {block.name: self._block_summary(block, ignore)
              for block in function.blocks},
             self._trip_bounds(function),

@@ -128,10 +128,6 @@ class MInstr:
     def is_terminator(self) -> bool:
         return self.opcode in ("b", "bx_lr")
 
-    @property
-    def is_branch(self) -> bool:
-        return self.opcode in ("b", "bcc")
-
     def branch_targets(self) -> List[str]:
         if self.opcode in ("b", "bcc"):
             return [self.ops[0]]

@@ -19,6 +19,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..analysis.cfg import reachability
+from ..analysis.dominators import blocks_on_every_path
 from ..ir.instructions import CKPT_BACKEND
 from .mir import MBlock, MFunction, MInstr, StackSlot
 
@@ -47,22 +49,6 @@ def _slot_accesses(fn: MFunction) -> List[SlotAccess]:
                 if isinstance(base, StackSlot):
                     out.append(SlotAccess(block, idx, instr, base, False))
     return out
-
-
-def _reachability(fn: MFunction) -> Dict[str, Set[str]]:
-    succs = {b.name: [s.name for s in b.successors()] for b in fn.blocks}
-    reach: Dict[str, Set[str]] = {}
-    for block in fn.blocks:
-        seen: Set[str] = set()
-        stack = list(succs[block.name])
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            stack.extend(succs[name])
-        reach[block.name] = seen
-    return reach
 
 
 def _is_barrier(
@@ -103,12 +89,20 @@ def find_spill_wars(
     name in the set is a barrier (calls to transparent callees do not
     checkpoint).
     """
+    return _spill_wars(fn, reachability(fn.blocks, MBlock.successors), {},
+                       calls_are_checkpoints, barrier_callees)
+
+
+def _spill_wars(fn: MFunction, reach, path_cache, calls_are_checkpoints: bool,
+                barrier_callees: Optional[Set[str]]) -> List[SpillWAR]:
+    """:func:`find_spill_wars` given the :func:`~repro.analysis.cfg.
+    reachability` closure of ``fn``'s blocks and a path memo for them
+    (:func:`~repro.analysis.dominators.blocks_on_every_path`)."""
     accesses = _slot_accesses(fn)
     by_slot: Dict[int, Tuple[List[SlotAccess], List[SlotAccess]]] = {}
     for access in accesses:
         loads, stores = by_slot.setdefault(id(access.slot), ([], []))
         (loads if access.is_load else stores).append(access)
-    reach = _reachability(fn)
     pairs: List[SpillWAR] = []
     for loads, stores in by_slot.values():
         for load in loads:
@@ -124,11 +118,10 @@ def find_spill_wars(
         ]
         for block in fn.blocks
     }
-    path_cache: Dict = {}
     return [
         war for war in pairs
         if not any(_holds_barrier(barriers[span.block], span)
-                   for span in _candidates(war, fn, path_cache))
+                   for span in _candidates(war, path_cache))
     ]
 
 
@@ -142,10 +135,10 @@ def _classify(load: SlotAccess, store: SlotAccess, reach) -> Optional[SpillWAR]:
     if load.block is store.block:
         if store.index > load.index:
             return SpillWAR(load, store, "forward")
-        if load.block.name in reach[load.block.name]:  # block is in a cycle
+        if id(load.block) in reach[id(load.block)]:  # block is in a cycle
             return SpillWAR(load, store, "backward")
         return None
-    if store.block.name in reach[load.block.name]:
+    if id(store.block) in reach[id(load.block)]:
         return SpillWAR(load, store, "forward")
     return None
 
@@ -175,13 +168,12 @@ def _prune_dominated(wars: List[SpillWAR]) -> List[SpillWAR]:
     return kept
 
 
-def _candidates(war: SpillWAR, fn: MFunction, path_cache=None) -> List:
+def _candidates(war: SpillWAR, path_cache=None) -> List:
     """The positions that break ``war`` as inclusive
     :class:`~repro.core.hitting_set.Span` runs (a run may be empty):
     after the load in its block, up to the store in its block, and all
     of each block that every load->store path crosses."""
-    # Local imports: repro.core imports the backend for its pipeline.
-    from ..core.checkpoint_inserter import blocks_on_every_path
+    # Local import: repro.core imports the backend for its pipeline.
     from ..core.hitting_set import Span
 
     load, store = war.load, war.store
@@ -193,10 +185,8 @@ def _candidates(war: SpillWAR, fn: MFunction, path_cache=None) -> List:
              min(store.index, load.index) if store.block is load.block
              else store.index),
     ]
-    for block in blocks_on_every_path(
-        load.block, store.block, fn.blocks, lambda b: b.successors(),
-        path_cache,
-    ):
+    for block in blocks_on_every_path(load.block, store.block,
+                                      MBlock.successors, path_cache):
         spans.append(Span(block.name, 0, _insertable_end(block)))
     return spans
 
@@ -219,7 +209,10 @@ def insert_spill_checkpoints(
     """Break all spill-slot WARs of ``fn``; returns checkpoints added."""
     if mode not in MODES:
         raise ValueError(f"unknown spill checkpoint mode {mode!r}")
-    wars = find_spill_wars(fn, calls_are_checkpoints, barrier_callees)
+    reach = reachability(fn.blocks, MBlock.successors)
+    path_cache: Dict = {}
+    wars = _spill_wars(fn, reach, path_cache, calls_are_checkpoints,
+                       barrier_callees)
     if not wars:
         return 0
     if mode == "basic":
@@ -235,11 +228,9 @@ def insert_spill_checkpoints(
         # Local import: repro.core imports the backend for its pipeline.
         from ..core.hitting_set import greedy_hitting_set
 
-        reach = _reachability(fn)
-        in_cycle = {b.name: b.name in reach[b.name] for b in fn.blocks}
+        in_cycle = {b.name: id(b) in reach[id(b)] for b in fn.blocks}
         preferred = {(war.store.block.name, war.store.index) for war in wars}
-        path_cache: Dict = {}
-        requirements = [_candidates(war, fn, path_cache) for war in wars]
+        requirements = [_candidates(war, path_cache) for war in wars]
 
         def cost(key) -> float:
             base = 10.0 if in_cycle[key[0]] else 1.0

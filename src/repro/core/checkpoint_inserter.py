@@ -24,6 +24,8 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from ..analysis import AliasAnalysis, WARIndex, WARViolation, loop_info
+from ..analysis.cfg import ir_successors
+from ..analysis.dominators import blocks_on_every_path
 from ..analysis.memdep import FORWARD
 from ..ir.instructions import CKPT_MIDDLE_END, Checkpoint
 from .hitting_set import Span, greedy_hitting_set
@@ -72,7 +74,7 @@ def insert_function_checkpoints(
     preferred: Set[Tuple[str, int]] = set()
     for war, lidx, sidx in frontier:
         requirements.append(
-            _candidate_spans(war, lidx, sidx, function, path_cache))
+            _candidate_spans(war, lidx, sidx, path_cache))
         preferred.add((war.store.parent.name, sidx))
 
     blocks_by_name = {b.name: b for b in function.blocks}
@@ -91,7 +93,7 @@ def insert_function_checkpoints(
 
 
 def war_candidate_positions(
-    war: WARViolation, function=None, articulation_cache=None
+    war: WARViolation, articulation_cache=None
 ) -> List[Tuple[str, int]]:
     """Candidate checkpoint positions for one WAR violation.
 
@@ -109,20 +111,21 @@ def war_candidate_positions(
       in other replicas.
 
     ``articulation_cache`` is the per-function memo of
-    :func:`blocks_on_every_path`.  The inserter itself works on the
-    same positions as inclusive :class:`~repro.core.hitting_set.Span`
-    runs (:func:`_candidate_spans`); this lists them one by one.
+    :func:`~repro.analysis.dominators.blocks_on_every_path`.  The
+    inserter itself works on the same positions as inclusive
+    :class:`~repro.core.hitting_set.Span` runs
+    (:func:`_candidate_spans`); this lists them one by one.
     """
     lidx = war.load.parent.index_of(war.load)
     sidx = war.store.parent.index_of(war.store)
-    spans = _candidate_spans(war, lidx, sidx, function, articulation_cache)
+    spans = _candidate_spans(war, lidx, sidx, articulation_cache)
     return [
         (span.block, j) for span in spans for j in range(span.lo, span.hi + 1)
     ]
 
 
 def _candidate_spans(
-    war: WARViolation, lidx: int, sidx: int, function=None, path_cache=None
+    war: WARViolation, lidx: int, sidx: int, path_cache=None
 ) -> List[Span]:
     """:func:`war_candidate_positions` as inclusive runs, for a WAR whose
     load and store sit at ``lidx`` and ``sidx`` of their blocks (a run
@@ -139,10 +142,8 @@ def _candidate_spans(
         Span(sblock.name, sblock.first_insertion_index(),
              min(sidx, lidx) if sblock is lblock else sidx),
     ]
-    fn = function if function is not None else lblock.parent
-    for block in blocks_on_every_path(
-        lblock, sblock, fn.blocks, lambda b: b.successors, path_cache
-    ):
+    for block in blocks_on_every_path(lblock, sblock, ir_successors,
+                                      path_cache):
         spans.append(Span(block.name, block.first_insertion_index(),
                           _last_insertion_index(block)))
     return spans
@@ -153,115 +154,6 @@ def _last_insertion_index(block) -> int:
     if block.terminator is not None:
         last -= 1
     return last
-
-
-def blocks_on_every_path(lblock, sblock, all_blocks, succs_of, cache=None) -> List:
-    """Blocks (other than the endpoints) that every path from the load's
-    block exit to the store's block entry must traverse.
-
-    Classic equivalence: a block lies on every path from s's exit to t
-    iff it dominates t in the graph rooted at a virtual node whose
-    successors are s's successors.  One dominator computation serves all
-    queries from the same source block.
-
-    ``cache`` is a dict the caller keeps for one function while its CFG
-    does not change (a placement pass): it memoises each source block's
-    dominator tree (keyed by the block's id) and each pair's answer
-    (keyed by the pair of ids).
-    """
-    if cache is None:
-        cache = {}
-    pair = (id(lblock), id(sblock))
-    out = cache.get(pair)
-    if out is not None:
-        return out
-    dominators = cache.get(id(lblock))
-    if dominators is None:
-        dominators = _source_dominators(lblock, all_blocks, succs_of)
-        cache[id(lblock)] = dominators
-    idom, reachable = dominators
-    out = []
-    if id(sblock) in reachable:
-        node_id = idom.get(id(sblock))
-        while node_id is not None:
-            block = reachable.get(node_id)
-            if block is None:  # reached the virtual root
-                break
-            if block is not lblock and block is not sblock:
-                out.append(block)
-            node_id = idom.get(node_id)
-    cache[pair] = out
-    return out
-
-
-def _source_dominators(lblock, all_blocks, succs_of):
-    """Immediate dominators (by block id) of the CFG rooted at a virtual
-    node preceding ``lblock``'s successors, plus the reachable-block map.
-    """
-    root_id = -1
-    succ_map = {id(b): [id(s) for s in succs_of(b)] for b in all_blocks}
-    succ_map[root_id] = [id(s) for s in succs_of(lblock)]
-    blocks_by_id = {id(b): b for b in all_blocks}
-
-    # reverse postorder from the virtual root
-    order: List[int] = []
-    visited = set()
-    stack = [(root_id, iter(succ_map[root_id]))]
-    visited.add(root_id)
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for nxt in it:
-            if nxt not in visited:
-                visited.add(nxt)
-                stack.append((nxt, iter(succ_map.get(nxt, []))))
-                advanced = True
-                break
-        if not advanced:
-            order.append(node)
-            stack.pop()
-    rpo = list(reversed(order))
-    rpo_index = {node: i for i, node in enumerate(rpo)}
-    preds: Dict[int, List[int]] = {node: [] for node in rpo}
-    for node in rpo:
-        for nxt in succ_map.get(node, []):
-            if nxt in rpo_index:
-                preds[nxt].append(node)
-
-    idom: Dict[int, int] = {root_id: root_id}
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while rpo_index[a] > rpo_index[b]:
-                a = idom[a]
-            while rpo_index[b] > rpo_index[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for node in rpo:
-            if node == root_id:
-                continue
-            new_idom = None
-            for pred in preds[node]:
-                if pred in idom:
-                    new_idom = pred if new_idom is None else intersect(pred, new_idom)
-            if new_idom is not None and idom.get(node) != new_idom:
-                idom[node] = new_idom
-                changed = True
-
-    reachable = {
-        node: blocks_by_id[node] for node in rpo if node != root_id
-    }
-    # root is not a real block: cut idom chains there
-    result_idom = {
-        node: (parent if parent != root_id else None)
-        for node, parent in idom.items()
-        if node != root_id
-    }
-    return result_idom, reachable
 
 
 def _insert_at(function, chosen, blocks_by_name) -> None:

@@ -169,9 +169,6 @@ class DiagnosticEngine:
     def count(self, severity: str) -> int:
         return sum(1 for d in self.diagnostics if d.severity == severity)
 
-    def by_severity(self, severity: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == severity]
-
     def summary(self) -> str:
         errors, warnings = self.count(ERROR), self.count(WARNING)
         if not errors and not warnings:

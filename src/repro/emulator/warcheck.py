@@ -117,6 +117,3 @@ class WARChecker:
     @property
     def clean(self) -> bool:
         return not self.violations
-
-    def to_diagnostics(self) -> List[Diagnostic]:
-        return [v.to_diagnostic() for v in self.violations]

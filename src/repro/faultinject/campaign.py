@@ -359,18 +359,16 @@ class _ContinuousRun:
         return machine
 
 
-def _fast_forward(bench, program, schedule: Schedule, oracle: OracleTotals,
-                  run: Optional[_ContinuousRun] = None,
-                  ) -> Optional[CellOutcome]:
+def _fast_forward(bench, schedule: Schedule, oracle: OracleTotals,
+                  run: _ContinuousRun) -> Optional[CellOutcome]:
     """The outcome of replaying ``schedule`` without emulating the part
     of the replay that repeats the continuous run, or ``None`` when the
     replay has to run to halt.
 
-    The continuous ``run`` (a fresh one by default) is paused just
-    before the schedule's first failure and forked; the fork replays
-    the schedule and stops at its first checkpoint commit after the
-    last scheduled failure, and a continuous copy is brought to the
-    same commit count.  If the two machines are then in the same state,
+    The continuous ``run`` is paused just before the schedule's first
+    failure and forked; the fork replays the schedule and stops at its
+    first checkpoint commit after the last scheduled failure, and a
+    continuous copy is brought to the same commit count.  If the two machines are then in the same state,
     the rest of the replay is the rest of the continuous run, so the
     final memory, outputs and the remaining instructions, cycles and
     commits are the oracle's.  The caller guarantees a WAR-clean oracle
@@ -378,8 +376,6 @@ def _fast_forward(bench, program, schedule: Schedule, oracle: OracleTotals,
     """
     limit = bench.max_instructions
     power = SchedulePower(schedule)
-    if run is None:
-        run = _ContinuousRun(program, limit)
     try:
         paused = run.paused_before(schedule[0])
         if paused.stats.halted:
@@ -451,7 +447,7 @@ def _execute_pair(
                 continue
         outcome = None
         if run is not None:
-            outcome = _fast_forward(bench, program, schedule, oracle, run)
+            outcome = _fast_forward(bench, schedule, oracle, run)
         if outcome is None:
             outcome = _replay(bench, program, schedule, interrupt_interval)
         if key is not None:

@@ -47,9 +47,6 @@ class BasicBlock:
                 break
         return out
 
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, Phi)]
-
     # -- mutation ----------------------------------------------------------
     def append(self, instr: Instruction) -> Instruction:
         self.instructions.append(instr)

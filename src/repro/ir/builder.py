@@ -46,11 +46,6 @@ class IRBuilder:
         self.index = None
         return self
 
-    def position_before(self, instr: Instruction) -> "IRBuilder":
-        self.block = instr.parent
-        self.index = self.block.index_of(instr)
-        return self
-
     def _insert(self, instr: Instruction) -> Instruction:
         if self.block is None:
             raise RuntimeError("builder has no insertion block")

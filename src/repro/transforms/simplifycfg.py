@@ -8,7 +8,7 @@ the single-basic-block form that the Loop Write Clusterer targets
 
 from __future__ import annotations
 
-from ..analysis.cfg import reachable_blocks
+from ..analysis.cfg import Graph, ir_successors
 from ..ir.instructions import Branch, CondBranch, Phi
 from ..ir.values import Constant
 
@@ -51,8 +51,8 @@ def _fold_constant_branches(function) -> bool:
 
 
 def _remove_unreachable(function) -> bool:
-    reachable = reachable_blocks(function)
-    dead = [b for b in function.blocks if id(b) not in reachable]
+    reachable = Graph(function.entry, ir_successors)
+    dead = [b for b in function.blocks if b not in reachable]
     if not dead:
         return False
     dead_ids = {id(b) for b in dead}

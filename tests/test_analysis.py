@@ -1,12 +1,11 @@
-"""Analysis tests: CFG orders, dominators, post-dominators, loops,
-induction variables, points-to."""
+"""Analysis tests: CFG orders, dominators, loops, induction variables,
+points-to."""
 
 from repro.analysis import (
     dominance_frontiers,
     dominator_tree,
     find_induction_variables,
     loop_info,
-    post_dominator_tree,
     reachability,
     reverse_postorder,
 )
@@ -120,16 +119,9 @@ class TestDominators:
                 arm_frontiers.add(fb.name)
         assert {m.name for m in merges} <= arm_frontiers
 
-    def test_postdominators(self):
-        f = _diamond()
-        pdt = post_dominator_tree(f)
-        exit_blocks = [b for b in f.blocks if not b.successors]
-        for block in f.blocks:
-            assert pdt.post_dominates(exit_blocks[0], block)
-
     def test_reachability(self):
         f = _diamond()
-        reach = reachability(f)
+        reach = reachability(f.blocks, lambda block: block.successors)
         assert all(id(b) in reach[id(f.entry)] for b in f.blocks if b is not f.entry)
 
 

@@ -156,7 +156,7 @@ class TestCheckpointInserter:
         aa = AliasAnalysis(f, "precise")
         wars = find_wars(f, aa, loop_info(f))
         for war in wars:
-            positions = war_candidate_positions(war, f)
+            positions = war_candidate_positions(war)
             assert positions
             sblock = war.store.parent
             sidx = sblock.index_of(war.store)

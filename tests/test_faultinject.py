@@ -364,8 +364,29 @@ _FAST_FORWARD_PAIRS = [
 ] + [("tiny-aes", "wario-opt")]
 
 
+@pytest.fixture(scope="module")
+def full_replays():
+    """(bench, env) -> (oracle, plan, each schedule of the plan replayed
+    to halt), for every pair of ``_FAST_FORWARD_PAIRS``: the reference
+    both fast-forward tests compare against, replayed once."""
+    out = {}
+    for bench, env in _FAST_FORWARD_PAIRS:
+        oracle = _execute_oracle(bench, env, cache=False)
+        plan = plan_schedules(
+            oracle.events, oracle.cycles, DEFAULT_COSTS,
+            PlanConfig(event_cap=2, interior_points=2, post_restore=1),
+        )
+        program = compile_benchmark(BENCHMARKS[bench], env, None, cache=False)
+        out[bench, env] = (oracle, plan, [
+            campaign._replay(BENCHMARKS[bench], program, schedule, None)
+            for schedule in plan
+        ])
+    return out
+
+
 @pytest.mark.parametrize("bench,env", _FAST_FORWARD_PAIRS)
-def test_fast_forward_equals_the_full_replay(bench, env, monkeypatch):
+def test_fast_forward_equals_the_full_replay(bench, env, monkeypatch,
+                                             full_replays):
     rejoined = []
     fast_forward = campaign._fast_forward
 
@@ -375,22 +396,17 @@ def test_fast_forward_equals_the_full_replay(bench, env, monkeypatch):
         return outcome
 
     monkeypatch.setattr(campaign, "_fast_forward", counting)
-    oracle = _execute_oracle(bench, env, cache=False)
-    plan = plan_schedules(
-        oracle.events, oracle.cycles, DEFAULT_COSTS,
-        PlanConfig(event_cap=2, interior_points=2, post_restore=1),
-    )
-    for schedule in plan:
+    oracle, plan, full = full_replays[bench, env]
+    for schedule, replayed in zip(plan, full):
         fast = _execute_schedule(bench, env, schedule, cache=False,
                                  oracle=oracle.totals)
-        assert fast == _execute_schedule(bench, env, schedule,
-                                         cache=False), schedule
+        assert fast == replayed, schedule
     # every planned replay of these WAR-free builds rejoined the
     # continuous run, so the comparison above covered the shortcut
     assert rejoined == [True] * len(plan)
 
 
-def test_pair_executor_equals_the_full_replays(monkeypatch):
+def test_pair_executor_equals_the_full_replays(monkeypatch, full_replays):
     """Over each whole plan, the pair executor's outcomes equal the
     replays to halt, in plan order, and every cell rejoins.  Across the
     pairs, cells share a first failure (the pause point is reused), and
@@ -424,29 +440,25 @@ def test_pair_executor_equals_the_full_replays(monkeypatch):
 
     monkeypatch.setattr(campaign, "_fast_forward", counting)
     monkeypatch.setattr(campaign._ContinuousRun, "after_commit", observing)
-    plans = []
-    for bench, env in _FAST_FORWARD_PAIRS:
-        oracle = _execute_oracle(bench, env, cache=False)
-        plans.append((bench, env, oracle, plan_schedules(
-            oracle.events, oracle.cycles, DEFAULT_COSTS,
-            PlanConfig(event_cap=2, interior_points=2, post_restore=1),
-        )))
+    plans = [(bench, env, oracle, plan, full)
+             for (bench, env), (oracle, plan, full) in full_replays.items()]
     # planned commit counts never fall in order of first failure; here
     # the second failure puts the double's commit far past the single's
     oracle = _execute_oracle("crc", "wario", cache=False)
     first = oracle.cycles // 3
-    plans.append(("crc", "wario", oracle, [(first, 12_000), (first + 1,)]))
+    plan = [(first, 12_000), (first + 1,)]
+    program = compile_benchmark(BENCHMARKS["crc"], "wario", None, cache=False)
+    plans.append(("crc", "wario", oracle, plan, [
+        campaign._replay(BENCHMARKS["crc"], program, schedule, None)
+        for schedule in plan
+    ]))
     shared_first = 0
-    for bench, env, oracle, plan in plans:
+    for bench, env, oracle, plan, full in plans:
         rejoined.clear()
         outcomes = campaign._execute_pair(bench, env, plan, cache=False,
                                           oracle=oracle.totals)
         assert rejoined == [True] * len(plan), (bench, env)
-        program = compile_benchmark(BENCHMARKS[bench], env, None, cache=False)
-        assert outcomes == [
-            campaign._replay(BENCHMARKS[bench], program, schedule, None)
-            for schedule in plan
-        ], (bench, env)
+        assert outcomes == full, (bench, env)
         shared_first += len(plan) - len({schedule[0] for schedule in plan})
     assert shared_first
     assert branches == {"first", "past", "behind", "reuse", "advance"}
@@ -467,14 +479,18 @@ def test_fast_forward_falls_back_unless_the_replay_provably_rejoins(
     oracle = _execute_oracle("crc", "wario", cache=False)
     schedule = (oracle.cycles // 2,)
     full = _execute_schedule("crc", "wario", schedule, cache=False)
-    assert campaign._fast_forward(bench, program, schedule,
-                                  oracle.totals) == full
+
+    def run():
+        return campaign._ContinuousRun(program, bench.max_instructions)
+
+    assert campaign._fast_forward(bench, schedule, oracle.totals,
+                                  run()) == full
     # a spliced total at the instruction limit
     at_limit = oracle.totals._replace(instructions=bench.max_instructions)
-    assert campaign._fast_forward(bench, program, schedule, at_limit) is None
+    assert campaign._fast_forward(bench, schedule, at_limit, run()) is None
     # machines that never reach the same state
     monkeypatch.setattr(Machine, "same_state", lambda self, other: False)
-    assert campaign._fast_forward(bench, program, schedule,
-                                  oracle.totals) is None
+    assert campaign._fast_forward(bench, schedule, oracle.totals,
+                                  run()) is None
     assert _execute_schedule("crc", "wario", schedule, cache=False,
                              oracle=oracle.totals) == full

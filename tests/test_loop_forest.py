@@ -2,8 +2,9 @@
 
 :func:`repro.analysis.progress.loop_forest` finds the loops that both
 the machine-level progress certificate and the IR estimate
-(:class:`~repro.analysis.progress.IRProgress`) collapse.  On middle-end
-IR it must find exactly the loops :func:`repro.analysis.loops.loop_info`
+(:class:`~repro.analysis.progress.IRProgress`) collapse: the shared
+finder's loops, once its reducibility check passes.  On middle-end IR
+it must find exactly the loops :func:`repro.analysis.loops.loop_info`
 finds — the same headers, block sets and nesting — for every function
 of the suite after the middle end, and for a deep chain of ``if``s.
 """
@@ -11,7 +12,7 @@ of the suite after the middle end, and for a deep chain of ``if``s.
 import pytest
 
 from repro.analysis.loops import loop_info
-from repro.analysis.progress import loop_forest
+from repro.analysis.progress import IrreducibleCFG, loop_forest
 from repro.benchsuite import BENCHMARKS, get_benchmark
 from repro.core import environment, run_middle_end
 from repro.frontend import compile_sources
@@ -23,12 +24,13 @@ PROGRAMS = tuple(sorted(BENCHMARKS)) + ("xcall",)
 
 
 def forest_shape(function):
-    """header -> (block names, parent header) from the shared finder."""
-    loops, _succs = loop_forest(function.blocks,
-                                lambda block: block.successors)
+    """header -> (block names, parent header) from ``loop_forest``."""
     return {
-        header: (loop.blocks, loop.parent.header if loop.parent else None)
-        for header, loop in loops.items()
+        loop.header.name: (
+            {block.name for block in loop.blocks},
+            loop.parent.header.name if loop.parent else None,
+        )
+        for loop in loop_forest(function.entry, lambda block: block.successors)
     }
 
 
@@ -67,3 +69,16 @@ def test_deep_chain_matches_loop_info():
         with _recursion_headroom(60):
             shape = forest_shape(function)
         assert shape == loop_info_shape(function)
+
+
+class _Block:
+    def __init__(self, name):
+        self.name = name
+        self.succs = []
+
+
+def test_a_cycle_with_two_entries_is_irreducible():
+    entry, a, b, exit_ = (_Block(name) for name in ("entry", "a", "b", "exit"))
+    entry.succs, a.succs, b.succs = [a, b], [b], [a, exit_]
+    with pytest.raises(IrreducibleCFG, match="retreating edge b → a"):
+        loop_forest(entry, lambda block: block.succs)

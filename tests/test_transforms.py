@@ -9,7 +9,7 @@ import pytest
 from helpers import compile_and_run
 
 from repro import Machine, iclang
-from repro.analysis import loop_info, post_dominator_tree
+from repro.analysis import loop_info
 from repro.core import lint_sources
 from repro.frontend import compile_source
 from repro.ir import verify_module
@@ -172,13 +172,6 @@ class TestDeepCFG:
             result = lint_sources(source, env, name="deep", cache=False,
                                   level="full")
         assert result.certified
-
-    def test_post_dominators_of_a_deep_chain(self):
-        function = compile_source(self.chain(self.SHORT_IFS)).main
-        with _recursion_headroom(60):
-            pdt = post_dominator_tree(function)
-        (exit_block,) = [b for b in function.blocks if not b.successors]
-        assert all(pdt.post_dominates(exit_block, b) for b in function.blocks)
 
 
 class TestDCE:

@@ -24,10 +24,10 @@ from repro.analysis import (
     compute_summaries,
     loop_info,
 )
+from repro.analysis.dominators import blocks_on_every_path
 from repro.analysis.memdep import FORWARD
 from repro.benchsuite import BENCHMARKS
 from repro.core import ENVIRONMENTS, greedy_hitting_set, run_middle_end
-from repro.core.checkpoint_inserter import blocks_on_every_path
 from repro.core.hitting_set import Span
 from repro.frontend import compile_source, compile_sources
 from repro.ir.instructions import Load, Store
@@ -214,16 +214,15 @@ class _Node:
 
 def test_path_memo_belongs_to_the_caller():
     """The dominator memo lives in the cache the caller passes, so the
-    same block list with a new edge and the same block count is not
-    answered from an earlier graph's memo."""
+    same nodes with a new edge are not answered from an earlier graph's
+    memo."""
     a, b, c, d = (_Node(n) for n in "abcd")
-    blocks = [a, b, c, d]
     a.succs, b.succs, c.succs = [b], [c], [d]
     succs = lambda node: node.succs  # noqa: E731
     cache = {}
-    assert blocks_on_every_path(a, d, blocks, succs, cache) == [c, b]
+    assert blocks_on_every_path(a, d, succs, cache) == [c, b]
     assert id(a) in cache and (id(a), id(d)) in cache
 
     a.succs = [b, c]  # a may now skip b
-    assert blocks_on_every_path(a, d, blocks, succs, {}) == [c]
-    assert blocks_on_every_path(a, d, blocks, succs) == [c]
+    assert blocks_on_every_path(a, d, succs, {}) == [c]
+    assert blocks_on_every_path(a, d, succs) == [c]

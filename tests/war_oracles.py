@@ -47,7 +47,7 @@ def scan_wars(function, aa, loop_info, calls_are_checkpoints=True,
             if _is_barrier(instr, calls_are_checkpoints, summaries):
                 barriers.append(idx)
         barrier_index[id(block)] = barriers
-    reach = reachability(function)
+    reach = reachability(function.blocks, lambda block: block.successors)
     wars = []
     for load in loads:
         lblock, lidx = positions[id(load)]
