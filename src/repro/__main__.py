@@ -46,9 +46,8 @@ from .core.lint import (
     lint_benchmarks,
     lint_sources,
 )
-from .diagnostics import render_json, render_sarif
+from .diagnostics import render_sarif
 from .emulator import (
-    ContinuousPower,
     EmulationError,
     FixedPeriodPower,
     Machine,

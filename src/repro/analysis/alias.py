@@ -22,7 +22,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..ir.instructions import Alloca, BinaryOp, Cast, GetElementPtr, Phi
 from ..ir.values import Argument, Constant, GlobalVariable, Value

@@ -35,7 +35,7 @@ a successor function, and flips both when ``direction=BACKWARD``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 #: Path flags carried by flow facts: the fact reaches this program point
 #: without crossing a loop back edge (``FW``, same iteration) or after

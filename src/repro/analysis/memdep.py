@@ -152,7 +152,7 @@ class WARIndex:
                     access = _Access(instr, block, idx, aa)
                     self.loads.append(access)
                     stores.append(access)
-                if _is_barrier(instr, calls_are_checkpoints, summaries):
+                if is_barrier(instr, calls_are_checkpoints, summaries):
                     barriers.append(idx)
             self.barriers[id(block)] = barriers
             if stores:
@@ -337,7 +337,10 @@ def _classify_pair(
     return None
 
 
-def _is_barrier(instr, calls_are_checkpoints: bool, summaries=None) -> bool:
+def is_barrier(instr, calls_are_checkpoints: bool, summaries=None) -> bool:
+    """Does ``instr`` end an idempotent region: a checkpoint, or a call
+    when calls are checkpoints and ``summaries`` do not prove the callee
+    transparent?"""
     if isinstance(instr, Checkpoint):
         return True
     if not calls_are_checkpoints or not isinstance(instr, Call):

@@ -65,7 +65,13 @@ from .alias import AliasAnalysis, PRECISE
 from .cfg import reverse_postorder
 from .dataflow import DataflowProblem, FW, BK, merge_flagged_facts, solve
 from .loops import LoopInfo, loop_info
-from .memdep import BACKWARD, FORWARD, access_size, summary_sets_intersect
+from .memdep import (
+    BACKWARD,
+    FORWARD,
+    access_size,
+    is_barrier,
+    summary_sets_intersect,
+)
 from .pointsto import module_points_to
 
 
@@ -115,23 +121,13 @@ def region_labels(function, calls_are_checkpoints: bool,
     def label_at_exit(block) -> str:
         label = label_at_entry(block)
         for idx, instr in enumerate(block.instructions):
-            if _is_barrier(instr, calls_are_checkpoints, summaries):
+            if is_barrier(instr, calls_are_checkpoints, summaries):
                 label = f"{block.name}@{idx}"
         return label
 
     for block in function.blocks:
         label_at_entry(block)
     return labels
-
-
-def _is_barrier(instr, calls_are_checkpoints: bool, summaries=None) -> bool:
-    if isinstance(instr, Checkpoint):
-        return True
-    if not calls_are_checkpoints or not isinstance(instr, Call):
-        return False
-    if summaries is not None and summaries.is_transparent_call(instr):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +192,7 @@ class RegionWARAnalysis(DataflowProblem):
             if id(instr) in self.ignore and isinstance(instr, Checkpoint):
                 # abstract region merge: the elision candidate is absent
                 continue
-            if _is_barrier(instr, self.calls_are_checkpoints, self.summaries):
+            if is_barrier(instr, self.calls_are_checkpoints, self.summaries):
                 # A checkpoint, or a call whose callee's entry checkpoint
                 # ends the region: the call's own reads/writes start a
                 # fresh one, and its exit checkpoint precedes any

@@ -47,7 +47,7 @@ checker never sees a first-access read of those slots either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..diagnostics import DiagnosticEngine
@@ -63,7 +63,7 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.types import is_pointer
-from ..ir.values import Argument, GlobalVariable
+from ..ir.values import GlobalVariable
 from .alias import PRECISE, AliasAnalysis, _affine_index
 from .pointsto import MAX_GEP_DEPTH, PointsToMap, TopCause, report_top_causes
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .mir import MFunction, MInstr, MModule
+from .mir import MInstr, MModule
 
 #: Flat address space layout.
 GLOBALS_BASE = 0x1000

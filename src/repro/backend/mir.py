@@ -15,7 +15,7 @@ Register convention (fixed by the backend):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..analysis.dataflow import DataflowProblem, intersect_must_set, solve

@@ -5,9 +5,9 @@ close to what a production back end would produce."""
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Set
 
-from .mir import MFunction, VReg
+from .mir import MFunction
 
 #: Opcodes with no side effect beyond defining their destination.
 _PURE = {

@@ -25,6 +25,9 @@ Key structure (one hash per artifact kind):
   producing program's key, the failure schedule, the WAR-check flag, the
   instruction budget, and the cost model.
 
+Every cached step of the toolchain goes through :func:`cached`, the one
+caller of :meth:`CompileCache.get` and :meth:`CompileCache.put`.
+
 Invalidation is structural: the **toolchain version tag** mixed into
 every key is ``COMPILER_VERSION_TAG`` plus a fingerprint of the
 ``repro`` package's own source files.  Any edit to the compiler, the
@@ -48,7 +51,7 @@ import pickle
 import tempfile
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 #: Manual toolchain tag: bump to force-invalidate every cache entry even
 #: when no ``repro`` source file changed (e.g. when regenerating after
@@ -259,6 +262,10 @@ class CompileCache:
     Writes are atomic (``os.replace``), so concurrent workers of the
     parallel evaluation engine can share one directory; a corrupt or
     truncated entry is treated as a miss and deleted.
+
+    A pickled store crosses processes by directory: it unpickles as the
+    receiving process's one instance for that directory, so a pool
+    worker's memory layer serves every payload the worker executes.
     """
 
     def __init__(self, directory: Optional[str] = None):
@@ -267,6 +274,9 @@ class CompileCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+
+    def __reduce__(self):
+        return _instance_for, (self.directory,)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".pkl")
@@ -359,6 +369,31 @@ class CompileCache:
         return report
 
 
+#: the instance an unpickled store becomes, one per directory
+_instances: Dict[str, CompileCache] = {}
+
+
+def _instance_for(directory: str) -> CompileCache:
+    cache = _instances.get(directory)
+    if cache is None:
+        cache = _instances[directory] = CompileCache(directory)
+    return cache
+
+
+def cached(store: Optional[CompileCache], key: str,
+           compute: Callable[[], Any]) -> Any:
+    """The one cached step: ``store``'s entry under ``key``, else
+    ``compute()``, stored under ``key``.  ``store=None`` (caching off)
+    always computes.  Every cached artifact is a non-``None`` value."""
+    if store is None:
+        return compute()
+    value = store.get(key)
+    if value is None:
+        value = compute()
+        store.put(key, value)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Process-wide default instance
 # ---------------------------------------------------------------------------
@@ -396,7 +431,7 @@ def resolve_cache(cache=None) -> Optional[CompileCache]:
 __all__ = [
     "ANALYSIS_VERSION_TAG", "COMPILER_VERSION_TAG", "CacheReport",
     "CompileCache",
-    "cache_enabled", "compile_key", "default_cache_dir",
+    "cache_enabled", "cached", "compile_key", "default_cache_dir",
     "get_cache", "inject_key", "lint_key", "reset_cache", "resolve_cache",
     "run_key", "source_fingerprint", "version_tag",
 ]

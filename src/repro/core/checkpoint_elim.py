@@ -8,9 +8,8 @@ insertion and elides every checkpoint the merged-region redundancy
 analysis (:mod:`repro.analysis.redundancy`) can prove unnecessary:
 
 1. candidates are ordered hottest-first — by loop depth of the owning
-   block (``10 ** depth``), optionally scaled by a dynamic call-count
-   profile from :func:`repro.core.profiling.collect_call_profile` — so
-   the checkpoints that execute most are the first to go;
+   block (``10 ** depth``) — so the checkpoints that execute most are
+   the first to go;
 2. each candidate's two adjacent regions are abstractly merged and the
    three certification legs (WAR-freedom, idempotence, progress budget)
    are re-discharged on the merge, in that order, stopping at the first
@@ -110,7 +109,6 @@ def elide_redundant_checkpoints(
     points_to=None,
     budget: Optional[int] = None,
     force_unsafe: Optional[int] = None,
-    profile: Optional[Dict[str, int]] = None,
 ) -> ElisionReport:
     """Elide every provably redundant middle-end checkpoint of
     ``module``; returns the :class:`ElisionReport` with one certificate
@@ -119,9 +117,6 @@ def elide_redundant_checkpoints(
     ``points_to`` is the whole-program points-to map (computed by the
     caller once and shared with the inserter); with ``summaries`` the
     relaxed call model applies exactly as it did during insertion.
-    ``profile`` (callee name → dynamic call count, e.g. from
-    :func:`repro.core.profiling.collect_call_profile`) scales the
-    loop-depth ordering weight so measured-hot functions elide first.
     ``force_unsafe`` is the TEST-ONLY seeding knob described above.
     """
     if budget is None:
@@ -145,9 +140,8 @@ def elide_redundant_checkpoints(
             function, aa, li, summaries=summaries, budget=budget,
             arg_constants=arg_constants,
         )
-        hotness = float((profile or {}).get(function.name, 1) or 1)
         weights[function.name] = {
-            id(ckpt): (10.0 ** li.depth_of(ckpt.parent)) * hotness
+            id(ckpt): 10.0 ** li.depth_of(ckpt.parent)
             for ckpt in analyses[function.name].candidates()
         }
 

@@ -222,24 +222,20 @@ def lint_sources(
     hit the :mod:`repro.cache` instead of re-verifying.  ``cache``
     follows the :func:`repro.cache.resolve_cache` convention.
     """
-    from ..cache import lint_key, resolve_cache
+    from ..cache import cached, lint_key, resolve_cache
 
     if isinstance(sources, str):
         sources = [sources]
     config = environment(env)
+
+    def lint() -> LintResult:
+        module = compile_sources(sources, name)
+        verify_module(module)
+        return certify(build(module, config), level=level, budget=budget,
+                       name=name)
+
     key = lint_key(sources, config, name=name, level=level, budget=budget)
-    store = resolve_cache(cache)
-    if store is not None:
-        result = store.get(key)
-        if result is not None:
-            return result
-    module = compile_sources(sources, name)
-    verify_module(module)
-    result = certify(build(module, config), level=level, budget=budget,
-                     name=name)
-    if store is not None:
-        store.put(key, result)
-    return result
+    return cached(resolve_cache(cache), key, lint)
 
 
 def diagnostics_json(results: List[LintResult]) -> str:

@@ -12,8 +12,8 @@ iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from ..analysis import AliasAnalysis, WARIndex, loop_info
 from ..analysis.memdep import access_size

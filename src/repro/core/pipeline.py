@@ -405,7 +405,7 @@ def iclang(
     :class:`~repro.cache.CompileCache` instance to use a specific store
     (``None`` uses the process-wide default, honouring ``REPRO_CACHE``).
     """
-    from ..cache import compile_key, resolve_cache
+    from ..cache import cached, compile_key, resolve_cache
 
     config = environment(env)
     if unroll_factor is not None:
@@ -413,15 +413,12 @@ def iclang(
     if isinstance(sources, str):
         sources = [sources]
     key = compile_key(sources, config, name=name)
-    store = resolve_cache(cache)
-    if store is not None:
-        program = store.get(key)
-        if program is not None:
-            return program
-    module = compile_sources(sources, name)
-    verify_module(module)
-    program = build(module, config).encode()
-    program.cache_key = key
-    if store is not None:
-        store.put(key, program)
-    return program
+
+    def compile_program() -> Program:
+        module = compile_sources(sources, name)
+        verify_module(module)
+        program = build(module, config).encode()
+        program.cache_key = key
+        return program
+
+    return cached(resolve_cache(cache), key, compile_program)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 
 class PowerSupply:

@@ -5,7 +5,7 @@ sizes, and power-failure/re-execution accounting."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass

@@ -9,10 +9,8 @@ back-end and runtime traffic too (spills, pops, interrupt stacking),
 matching the paper's extension of Maioli et al.'s verification into the
 back end.
 
-Findings can be exported as :class:`~repro.diagnostics.Diagnostic` values
-(level ``dynamic``) so they share one stream with the static verifiers —
-the cross-check tests rely on the static verdict implying the dynamic
-one.
+The cross-check tests rely on the static verifiers' verdict implying
+this checker's.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..diagnostics import Diagnostic, ERROR, LEVEL_DYNAMIC, SourceLoc
+from ..diagnostics import SourceLoc
 
 
 @dataclass
@@ -41,20 +39,6 @@ class Violation:
             f"region #{self.region_index}{where})"
         )
 
-    def to_diagnostic(self) -> Diagnostic:
-        return Diagnostic(
-            severity=ERROR,
-            code="war-dynamic",
-            message=(
-                f"store to 0x{self.address:x} overwrote a location first "
-                f"read in the same idempotent region (pc={self.pc})"
-            ),
-            function=self.function,
-            region=f"#{self.region_index}",
-            level=LEVEL_DYNAMIC,
-            loc=self.loc,
-        )
-
 
 class WARChecker:
     """Tracks first-accesses per idempotent region, byte-granular."""
@@ -62,16 +46,15 @@ class WARChecker:
     READ = 1
     WRITE = 2
 
-    def __init__(self, record_all: bool = False):
+    def __init__(self):
         self._first: Dict[int, int] = {}
         self.violations: List[Violation] = []
         self.region_index = 0
-        self.record_all = record_all
 
     def copy(self) -> "WARChecker":
         """An independent copy of the checker's region state and
         findings."""
-        twin = WARChecker(self.record_all)
+        twin = WARChecker()
         twin._first = dict(self._first)
         twin.violations = list(self.violations)
         twin.region_index = self.region_index
@@ -100,10 +83,9 @@ class WARChecker:
                 self.violations.append(
                     Violation(a, pc, function, self.region_index, loc)
                 )
-                if not self.record_all:
-                    # Record one violation per (region, address): promote
-                    # to WRITE so a loop does not flood the list.
-                    first[a] = self.WRITE
+                # Record one violation per (region, address): promote
+                # to WRITE so a loop does not flood the list.
+                first[a] = self.WRITE
 
     def on_checkpoint(self) -> None:
         """A checkpoint ends the current idempotent region."""

@@ -30,12 +30,11 @@ from .runner import (
     default_jobs,
     map_ordered,
     power_from_key,
-    supply_key,
 )
 
 __all__ = [
     "ExperimentRunner", "RunResult", "Cell", "FIGURE4_ENVIRONMENTS",
-    "default_jobs", "map_ordered", "power_from_key", "supply_key",
+    "default_jobs", "map_ordered", "power_from_key",
     "EXPERIMENT_CELLS", "cells_for",
     "figure4", "figure4_summary", "figure5", "figure6", "figure7",
     "table1", "table2", "table3",

@@ -5,7 +5,7 @@ each ``render_*`` pretty-prints them the way the paper reports them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..benchsuite import BENCHMARKS, PAPER_NAMES

@@ -17,38 +17,25 @@ Results are also shared *across* processes and invocations through the
 content-addressed :mod:`repro.cache`: each worker looks up compiled
 programs under their ``program-`` key and finished emulations under a
 ``run-`` key derived from it, so a warm cache turns a full evaluation
-into a read-mostly sweep.
+into a read-mostly sweep.  A payload carries the resolved store, which
+a worker unpickles as its own instance for the same directory.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from ..backend import Program
 from ..benchsuite import BENCHMARKS, compile_benchmark, run_benchmark
-from ..cache import CompileCache, resolve_cache, run_key
+from ..cache import cached, resolve_cache, run_key
 from ..emulator import (
     DEFAULT_COSTS,
-    ContinuousPower,
     ExecutionStats,
     FixedPeriodPower,
     PowerSupply,
-    SchedulePower,
-    SuddenDropPower,
     trace_a,
     trace_b,
 )
@@ -74,14 +61,9 @@ class Cell(NamedTuple):
     power_key: str = "continuous"
 
 
-#: canonical power keys understood by :func:`power_from_key`; the
-#: parameterised families are ``fixed-<cycles>``,
-#: ``sudden-drop-<base>-<every>-<drop>`` and ``schedule-<d1>-<d2>-...``
-POWER_KEYS = ("continuous", "trace-a", "trace-b")
-
-
 def power_from_key(power_key: Optional[str]) -> Optional[PowerSupply]:
-    """Reconstruct a power supply from its canonical key.
+    """Reconstruct a power supply from its canonical key: ``continuous``,
+    ``trace-a``, ``trace-b`` or ``fixed-<cycles>``.
 
     Supplies are deterministic (seeded), so the key fully identifies the
     on-duration sequence — this is what makes emulation results disk-
@@ -96,57 +78,12 @@ def power_from_key(power_key: Optional[str]) -> Optional[PowerSupply]:
     try:
         if power_key.startswith("fixed-"):
             return FixedPeriodPower(int(power_key[len("fixed-"):]))
-        if power_key.startswith("sudden-drop-"):
-            base, every, drop = (
-                int(p) for p in power_key[len("sudden-drop-"):].split("-")
-            )
-            return SuddenDropPower(base, drop_every=every, drop_cycles=drop)
-        if power_key.startswith("schedule-"):
-            durations = [int(p) for p in power_key[len("schedule-"):].split("-")]
-            return SchedulePower(durations)
     except ValueError as exc:
         raise ValueError(f"malformed power key {power_key!r}: {exc}") from None
     raise ValueError(
         f"unknown power key {power_key!r}; expected 'continuous', "
-        f"'fixed-<cycles>', 'trace-a', 'trace-b', "
-        f"'sudden-drop-<base>-<every>-<drop>' or 'schedule-<d1>-<d2>-...'"
+        f"'fixed-<cycles>', 'trace-a' or 'trace-b'"
     )
-
-
-def supply_key(power: PowerSupply) -> str:
-    """A stable cell key for an arbitrary supply object.
-
-    Supplies whose ``name`` is a canonical key (every built-in model)
-    key under it, so results unify with key-addressed cells.  Anonymous
-    custom supplies get a content hash of their class and constructor
-    state — two *distinct* custom supplies can never collide, while two
-    identically-parameterised instances share one key (they produce the
-    same deterministic on-duration sequence).
-    """
-    name = getattr(power, "name", "")
-    if name:
-        try:
-            rebuilt = power_from_key(name)
-        except ValueError:
-            rebuilt = None
-        # Only trust the name when it genuinely round-trips: same class,
-        # same constructor state (a subclass inheriting a canonical name
-        # must not alias the built-in supply's results).
-        if (
-            rebuilt is not None
-            and type(rebuilt) is type(power)
-            and vars(rebuilt) == vars(power)
-        ):
-            return name
-        if name == "continuous" and type(power) is ContinuousPower:
-            return name
-    state = ",".join(
-        f"{attr}={value!r}"
-        for attr, value in sorted(vars(power).items())
-        if attr != "name"
-    )
-    blob = f"{type(power).__qualname__}({state})"
-    return "custom-" + hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def default_jobs() -> int:
@@ -179,66 +116,35 @@ def execute_cell(cell: Cell, war_check: bool, cache=None) -> RunResult:
     same object lands in ``RunResult.program`` for the code-size tables.
     Emulation results are cached under a ``run-`` key derived from the
     program's own content address, the power key, and the WAR-check flag.
-    :class:`ExperimentRunner` calls it in process from ``run`` and a
-    serial ``prefetch``, and in pool workers from a parallel one.
+    :class:`ExperimentRunner` calls it from ``run`` and, through
+    :func:`map_ordered`, from ``prefetch``.
     """
     bench = BENCHMARKS[cell.bench]
     unroll = cell.unroll or None
     war = war_check and cell.env != "plain"
     program = compile_benchmark(bench, cell.env, unroll, cache=cache)
-    store = resolve_cache(cache)
-    rkey = None
-    if store is not None and program.cache_key:
-        rkey = run_key(
-            program.cache_key,
-            cell.power_key,
-            war,
-            bench.max_instructions,
-            repr(DEFAULT_COSTS),
+
+    def emulate() -> ExecutionStats:
+        _, stats = run_benchmark(
+            bench,
+            cell.env,
+            power=power_from_key(cell.power_key),
+            unroll_factor=unroll,
+            war_check=war,
+            verify=True,
+            program=program,
         )
-        stats = store.get(rkey)
-        if stats is not None:
-            return RunResult(stats=stats, program=program)
-    _, stats = run_benchmark(
-        bench,
-        cell.env,
-        power=power_from_key(cell.power_key),
-        unroll_factor=unroll,
-        war_check=war,
-        verify=True,
-        program=program,
-    )
-    if rkey is not None:
-        store.put(rkey, stats)
-    return RunResult(stats=stats, program=program)
+        return stats
+
+    key = run_key(program.cache_key, cell.power_key, war,
+                  bench.max_instructions, repr(DEFAULT_COSTS))
+    return RunResult(stats=cached(resolve_cache(cache), key, emulate),
+                     program=program)
 
 
-#: pool workers keep one cache instance per directory so the in-memory
-#: layer persists across the cells each worker executes
-_worker_caches: Dict[Optional[str], CompileCache] = {}
-
-
-def worker_cache(cache_dir: Optional[str], use_disk: bool):
-    """Resolve a pool worker's cache policy (shared per directory).
-
-    Returns ``False`` (caching disabled) or a :class:`CompileCache`
-    pinned to ``cache_dir``; the instance persists in the worker process
-    so its in-memory layer serves every payload the worker executes.
-    Also used by the fault-injection campaign workers
-    (:mod:`repro.faultinject.campaign`).
-    """
-    if not use_disk:
-        return False
-    cache = _worker_caches.get(cache_dir)
-    if cache is None:
-        cache = CompileCache(cache_dir)
-        _worker_caches[cache_dir] = cache
-    return cache
-
-
-def _pool_worker(payload: Tuple[Cell, bool, Optional[str], bool]) -> RunResult:
-    cell, war_check, cache_dir, use_disk = payload
-    return execute_cell(cell, war_check, worker_cache(cache_dir, use_disk))
+def _pool_worker(payload) -> RunResult:
+    cell, war_check, cache = payload
+    return execute_cell(cell, war_check, cache)
 
 
 def map_ordered(
@@ -267,9 +173,6 @@ def map_ordered(
         return list(pool.map(worker, payloads))
 
 
-CellLike = Union[Cell, Sequence]
-
-
 class ExperimentRunner:
     """Runs and caches (benchmark, environment, unroll, power) cells.
 
@@ -295,22 +198,6 @@ class ExperimentRunner:
         self._cache_arg = cache
         self._results: Dict[Cell, RunResult] = {}
 
-    # -- keying ----------------------------------------------------------
-
-    def _cell(
-        self,
-        bench_name: str,
-        env: str,
-        unroll_factor: Optional[int] = None,
-        power_key: Optional[str] = None,
-    ) -> Cell:
-        return Cell(bench_name, env, unroll_factor or 0, power_key or "continuous")
-
-    def _normalize(self, cell: CellLike) -> Cell:
-        if isinstance(cell, Cell):
-            return cell
-        return self._cell(*cell)
-
     # -- execution -------------------------------------------------------
 
     def run(
@@ -318,75 +205,32 @@ class ExperimentRunner:
         bench_name: str,
         env: str,
         unroll_factor: Optional[int] = None,
-        power: Optional[PowerSupply] = None,
         power_key: Optional[str] = None,
     ) -> RunResult:
-        if power is not None and power_key is None:
-            # derive the memo key from the supply's class + parameters
-            # (:func:`supply_key`): canonical supplies unify with their
-            # key-addressed cells, anonymous custom supplies get a
-            # content hash — two distinct supplies never collide
-            power_key = supply_key(power)
-        cell = self._cell(bench_name, env, unroll_factor, power_key)
+        cell = Cell(bench_name, env, unroll_factor or 0,
+                    power_key or "continuous")
         result = self._results.get(cell)
-        if result is not None:
-            return result
-        if power is not None:
-            # caller-supplied supply object: its state is unknown (it may
-            # be mid-iteration or a custom model), so run it directly and
-            # skip the disk run-cache
-            bench = BENCHMARKS[bench_name]
-            war = self.war_check and env != "plain"
-            program = compile_benchmark(
-                bench, env, unroll_factor, cache=self._cache_arg
-            )
-            _, stats = run_benchmark(
-                bench,
-                env,
-                power=power,
-                unroll_factor=unroll_factor,
-                war_check=war,
-                verify=True,
-                program=program,
-            )
-            result = RunResult(stats=stats, program=program)
-        else:
+        if result is None:
             result = execute_cell(cell, self.war_check, self._cache_arg)
-        self._results[cell] = result
+            self._results[cell] = result
         return result
 
-    def prefetch(
-        self, cells: Iterable[CellLike], jobs: Optional[int] = None
-    ) -> None:
+    def prefetch(self, cells: Iterable[Cell], jobs: Optional[int] = None) -> None:
         """Execute a batch of cells, fanning out over worker processes.
 
         Results merge into the in-process memo **in the order given**, so
         a subsequent serial walk of the same cells (what every figure
         does) observes exactly what a serial run would have computed.
         """
-        ordered = []
-        seen = set()
-        for cell in map(self._normalize, cells):
-            if cell not in seen and cell not in self._results:
-                seen.add(cell)
-                ordered.append(cell)
-        if not ordered:
-            return
-        if jobs is None:
-            jobs = self.jobs if self.jobs is not None else default_jobs()
-        jobs = max(1, min(jobs, len(ordered)))
-        if jobs == 1:
-            for cell in ordered:
-                self._results[cell] = execute_cell(
-                    cell, self.war_check, self._cache_arg
-                )
-            return
-        store = resolve_cache(self._cache_arg)
-        use_disk = store is not None
-        cache_dir = store.directory if use_disk else None
-        payloads = [(cell, self.war_check, cache_dir, use_disk) for cell in ordered]
-        for cell, result in zip(ordered, map_ordered(_pool_worker, payloads, jobs)):
-            self._results[cell] = result
+        ordered = [cell for cell in dict.fromkeys(cells)
+                   if cell not in self._results]
+        # payloads carry the resolved store; False, not None, so that a
+        # worker does not resolve a default store of its own
+        cache = resolve_cache(self._cache_arg) or False
+        payloads = [(cell, self.war_check, cache) for cell in ordered]
+        results = map_ordered(_pool_worker, payloads,
+                              self.jobs if jobs is None else jobs)
+        self._results.update(zip(ordered, results))
 
     # -- convenience -----------------------------------------------------
     def cycles(self, bench_name: str, env: str) -> int:

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..benchsuite import BENCHMARKS, compile_benchmark, get_benchmark
-from ..cache import inject_key, resolve_cache
+from ..cache import cached, inject_key, resolve_cache
 from ..core.pipeline import EnvironmentConfig, environment
 from ..emulator import (
     DEFAULT_COSTS,
@@ -43,7 +43,7 @@ from ..emulator import (
     NoForwardProgress,
     SchedulePower,
 )
-from ..eval.runner import _worker_caches, map_ordered, worker_cache
+from ..eval.runner import map_ordered
 from .plan import PlanConfig, Schedule, plan_schedules
 
 Env = Union[str, EnvironmentConfig]
@@ -237,31 +237,26 @@ def _execute_oracle(
     """One continuous-power run with event tracing (disk-cached)."""
     bench = get_benchmark(bench_name)
     program = compile_benchmark(bench, env, None, cache=cache)
-    store = resolve_cache(cache)
-    key = None
-    if store is not None and program.cache_key:
-        key = inject_key(program.cache_key, (), True,
-                         bench.max_instructions, repr(DEFAULT_COSTS),
-                         interrupt_interval=interrupt_interval)
-        hit = store.get(key)
-        if hit is not None:
-            return hit
-    trace = EventTrace()
-    machine = Machine(program, war_check=True, trace=trace,
-                      interrupt_interval=interrupt_interval)
-    stats = machine.run(max_instructions=bench.max_instructions)
-    record = OracleRecord(
-        memory_digest=_digest_memory(machine, interrupt_interval),
-        outputs_ok=_outputs_match(bench, machine),
-        war_clean=machine.war.clean,
-        instructions=stats.instructions,
-        cycles=stats.cycles,
-        checkpoints=stats.checkpoints,
-        events=trace.as_tuples(),
-    )
-    if key is not None:
-        store.put(key, record)
-    return record
+
+    def harvest() -> OracleRecord:
+        trace = EventTrace()
+        machine = Machine(program, war_check=True, trace=trace,
+                          interrupt_interval=interrupt_interval)
+        stats = machine.run(max_instructions=bench.max_instructions)
+        return OracleRecord(
+            memory_digest=_digest_memory(machine, interrupt_interval),
+            outputs_ok=_outputs_match(bench, machine),
+            war_clean=machine.war.clean,
+            instructions=stats.instructions,
+            cycles=stats.cycles,
+            checkpoints=stats.checkpoints,
+            events=trace.as_tuples(),
+        )
+
+    key = inject_key(program.cache_key, (), True, bench.max_instructions,
+                     repr(DEFAULT_COSTS),
+                     interrupt_interval=interrupt_interval)
+    return cached(resolve_cache(cache), key, harvest)
 
 
 def _outcome(bench, machine: Machine, schedule: Schedule, error: str,
@@ -429,30 +424,26 @@ def _execute_pair(
     """
     bench = get_benchmark(bench_name)
     program = compile_benchmark(bench, env, None, cache=cache)
-    store = resolve_cache(cache) if program.cache_key else None
+    store = resolve_cache(cache)
     run = None
     if oracle is not None and oracle.war_clean and interrupt_interval is None:
         run = _ContinuousRun(program, bench.max_instructions)
-    outcomes: List[Optional[CellOutcome]] = [None] * len(schedules)
-    for index in sorted(range(len(schedules)), key=lambda i: schedules[i][0]):
-        schedule = schedules[index]
-        key = None
-        if store is not None:
-            key = inject_key(program.cache_key, schedule, True,
-                             bench.max_instructions, repr(DEFAULT_COSTS),
-                             interrupt_interval=interrupt_interval)
-            hit = store.get(key)
-            if hit is not None:
-                outcomes[index] = hit
-                continue
+
+    def replay(schedule: Schedule) -> CellOutcome:
         outcome = None
         if run is not None:
             outcome = _fast_forward(bench, schedule, oracle, run)
         if outcome is None:
             outcome = _replay(bench, program, schedule, interrupt_interval)
-        if key is not None:
-            store.put(key, outcome)
-        outcomes[index] = outcome
+        return outcome
+
+    outcomes: List[Optional[CellOutcome]] = [None] * len(schedules)
+    for index in sorted(range(len(schedules)), key=lambda i: schedules[i][0]):
+        schedule = schedules[index]
+        key = inject_key(program.cache_key, schedule, True,
+                         bench.max_instructions, repr(DEFAULT_COSTS),
+                         interrupt_interval=interrupt_interval)
+        outcomes[index] = cached(store, key, lambda: replay(schedule))
     return outcomes
 
 
@@ -470,20 +461,15 @@ def _execute_schedule(
 
 
 def _oracle_worker(payload) -> OracleRecord:
-    bench_name, env, cache_dir, use_disk, interrupt_interval = payload
-    return _execute_oracle(
-        bench_name, env, worker_cache(cache_dir, use_disk),
-        interrupt_interval=interrupt_interval,
-    )
+    bench_name, env, cache, interrupt_interval = payload
+    return _execute_oracle(bench_name, env, cache,
+                           interrupt_interval=interrupt_interval)
 
 
 def _pair_worker(payload) -> List[CellOutcome]:
-    (bench_name, env, schedules, cache_dir, use_disk, interrupt_interval,
-     oracle) = payload
-    return _execute_pair(
-        bench_name, env, schedules, worker_cache(cache_dir, use_disk),
-        interrupt_interval=interrupt_interval, oracle=oracle,
-    )
+    bench_name, env, schedules, cache, interrupt_interval, oracle = payload
+    return _execute_pair(bench_name, env, schedules, cache,
+                         interrupt_interval=interrupt_interval, oracle=oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +552,15 @@ def run_campaign(config: CampaignConfig, cache=None):
     """
     from .report import CampaignReport
 
-    store = resolve_cache(cache)
-    use_disk = store is not None
-    cache_dir = store.directory if use_disk else None
-    if use_disk:
-        # the serial (jobs=1) path runs workers in-process: point them
-        # at the caller's instance so its memory layer and counters see
-        # every cell
-        _worker_caches[cache_dir] = store
+    # payloads carry the resolved store; False, not None, so that a
+    # worker does not resolve a default store of its own
+    cache = resolve_cache(cache) or False
     pairs = [(bench, env) for bench in config.benches for env in config.envs]
 
     # Phase 1 — continuous-power oracles + event maps, in parallel.
     oracles = map_ordered(
         _oracle_worker,
-        [(bench, env, cache_dir, use_disk, config.interrupt_interval)
+        [(bench, env, cache, config.interrupt_interval)
          for bench, env in pairs],
         config.jobs,
     )
@@ -604,8 +585,7 @@ def run_campaign(config: CampaignConfig, cache=None):
     # Phase 3 — replay every pair's cells, one payload per pair.
     outcomes = map_ordered(
         _pair_worker,
-        [(bench, env, plan, cache_dir, use_disk, config.interrupt_interval,
-          oracle.totals)
+        [(bench, env, plan, cache, config.interrupt_interval, oracle.totals)
          for (bench, env), oracle, plan in zip(pairs, oracles, plans)],
         config.jobs,
     )
@@ -619,8 +599,7 @@ def run_campaign(config: CampaignConfig, cache=None):
             entry = Judged(outcome, verdict, reason)
             if verdict != "pass":
                 entry.shrunk = shrink_schedule(
-                    bench, env, outcome.schedule, oracle.totals,
-                    store if store is not None else False,
+                    bench, env, outcome.schedule, oracle.totals, cache,
                     interrupt_interval=config.interrupt_interval,
                 )
             judged.append(entry)

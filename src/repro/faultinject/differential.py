@@ -44,7 +44,13 @@ from typing import List, Optional, Tuple
 
 from ..core.pipeline import ENVIRONMENTS, environment
 from ..diagnostics import ERROR, LEVEL_CAMPAIGN, WARNING, Diagnostic
-from .campaign import CampaignConfig, Env, env_name, run_campaign
+from .campaign import (
+    CampaignConfig,
+    Env,
+    _execute_oracle,
+    env_name,
+    run_campaign,
+)
 
 #: cell agreement classes
 AGREE_CLEAN = "agree-clean"
@@ -563,24 +569,23 @@ def _progress_static(bench_name: str, env: Env, cache) -> Optional[int]:
 
 def _progress_dynamic(bench_name: str, env: Env, bound: Optional[int],
                       config: ProgressDifferentialConfig, cache):
-    """Observe one cell: continuous-power harvest of the real
-    inter-checkpoint gaps, then the starvation cross-check.
+    """Observe one cell: the real inter-checkpoint gaps of the pair's
+    campaign oracle (its continuous-power run), then the starvation
+    cross-check.
 
     Returns ``(max_gap, on_time, starvation)``."""
-    from ..benchsuite import get_benchmark, verify_outputs
-    from ..core import iclang
+    from ..benchsuite import compile_benchmark, get_benchmark, verify_outputs
     from ..emulator import Machine, NoForwardProgress
     from ..emulator.costs import DEFAULT_COSTS
-    from ..emulator.events import EventTrace
+    from ..emulator.events import Event, EventTrace
     from ..emulator.power import FixedPeriodPower
 
     bench = get_benchmark(bench_name)
-    program = iclang(bench.source, env, name=bench_name, cache=cache)
+    oracle = _execute_oracle(bench_name, env, cache)
     trace = EventTrace()
-    machine = Machine(program, war_check=True, trace=trace)
-    stats = machine.run(max_instructions=bench.max_instructions)
-    max_gap = max(trace.max_checkpoint_gap(stats.cycles),
-                  stats.max_region_cycles)
+    trace.events = [Event(*event) for event in oracle.events]
+    max_gap = trace.max_checkpoint_gap(oracle.cycles)
+    program = compile_benchmark(bench, env, None, cache=cache)
 
     costs = DEFAULT_COSTS
     overhead = costs.boot_cycles + costs.restore_cycles

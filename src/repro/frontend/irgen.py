@@ -16,10 +16,8 @@ from ..ir import (
     I32,
     VOID,
     ArrayType,
-    Constant,
     FunctionType,
     IRBuilder,
-    IntType,
     Module,
     PointerType,
     Type,

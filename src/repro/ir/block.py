@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from .instructions import Branch, CondBranch, Instruction, Phi
+from .instructions import Branch, Instruction, Phi
 
 
 class BasicBlock:

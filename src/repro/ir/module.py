@@ -7,7 +7,7 @@ transformation runs (the gllvm whole-program step in the paper, §4.6); our
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .function import Function
 from .types import FunctionType, Type

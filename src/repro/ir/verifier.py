@@ -7,7 +7,7 @@ Errors raise :class:`VerificationError` with a human-readable reason.
 from __future__ import annotations
 
 from .instructions import Instruction, Phi
-from .values import Argument, Constant, GlobalVariable, UndefValue, Value
+from .values import Constant, GlobalVariable, UndefValue, Value
 
 
 class VerificationError(Exception):

@@ -8,7 +8,7 @@ accuracy, since a dead load would otherwise manufacture WAR violations
 
 from __future__ import annotations
 
-from ..ir.instructions import Load, Phi
+from ..ir.instructions import Phi
 
 
 def _removable(instr) -> bool:

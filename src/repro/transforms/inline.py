@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..ir.block import BasicBlock
-from ..ir.instructions import Branch, Call, Instruction, Phi, Ret
-from ..ir.values import Argument, Value
+from ..ir.instructions import Branch, Call, Phi, Ret
+from ..ir.values import Value
 
 
 class InlineError(Exception):

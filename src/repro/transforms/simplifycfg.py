@@ -9,7 +9,7 @@ the single-basic-block form that the Loop Write Clusterer targets
 from __future__ import annotations
 
 from ..analysis.cfg import Graph, ir_successors
-from ..ir.instructions import Branch, CondBranch, Phi
+from ..ir.instructions import Branch, CondBranch
 from ..ir.values import Constant
 
 

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from ..analysis.loops import Loop
 from ..ir.block import split_edge
-from ..ir.instructions import Branch, CondBranch, Instruction, Phi
+from ..ir.instructions import CondBranch, Phi
 from ..ir.values import Value
 
 

@@ -19,8 +19,6 @@ the data lived only in "volatile" registers, exactly the ALFRED effect.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..analysis.alias import AliasAnalysis
 from ..analysis.memdep import access_size
 from ..ir.instructions import Call, Checkpoint, Load, Store

@@ -14,6 +14,7 @@ from repro.cache import (
     COMPILER_VERSION_TAG,
     CompileCache,
     cache_enabled,
+    cached,
     compile_key,
     lint_key,
     run_key,
@@ -94,6 +95,47 @@ def test_cache_persists_across_instances(tmp_path):
     CompileCache(str(tmp_path)).put("run-abc", [1, 2, 3])
     fresh = CompileCache(str(tmp_path))
     assert fresh.get("run-abc") == [1, 2, 3]
+
+
+def test_cached_computes_and_stores_on_a_miss(tmp_path):
+    store = CompileCache(str(tmp_path))
+    calls = []
+    assert cached(store, "run-miss", lambda: calls.append(1) or "value") \
+        == "value"
+    assert calls == [1]
+    assert (store.misses, store.stores) == (1, 1)
+    assert CompileCache(str(tmp_path)).get("run-miss") == "value"
+
+
+def test_cached_returns_a_hit_without_computing(tmp_path):
+    store = CompileCache(str(tmp_path))
+    store.put("run-hit", "stored")
+
+    def compute():
+        raise AssertionError("a hit must not compute")
+
+    assert cached(store, "run-hit", compute) == "stored"
+    assert store.hits == 1
+
+
+def test_cached_without_a_store_always_computes():
+    calls = []
+    for expected in (1, 2):
+        assert cached(None, "run-none",
+                      lambda: calls.append(1) or len(calls)) == expected
+
+
+def test_a_pickled_store_arrives_as_the_instance_for_its_directory(tmp_path):
+    a, b = CompileCache(str(tmp_path)), CompileCache(str(tmp_path))
+    a2, b2 = pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(b))
+    assert a2 is b2
+    assert a2.directory == a.directory
+    a2.put("run-shared", 7)
+    # the entry survives in the shared memory layer alone
+    os.unlink(os.path.join(str(tmp_path), "run-shared.pkl"))
+    assert b2.get("run-shared") == 7
+    other = pickle.loads(pickle.dumps(CompileCache(str(tmp_path / "other"))))
+    assert other is not a2
 
 
 def test_corrupt_entry_is_a_miss_and_removed(tmp_path):

@@ -12,15 +12,11 @@ from repro.core.pipeline import ENVIRONMENTS
 from repro.emulator import (
     DEFAULT_COSTS,
     EVENT_KINDS,
-    ContinuousPower,
     EventTrace,
-    FixedPeriodPower,
     Machine,
-    PowerSupply,
     SchedulePower,
-    SuddenDropPower,
 )
-from repro.eval.runner import power_from_key, supply_key
+from repro.eval.runner import power_from_key
 from repro.faultinject import (
     CampaignConfig,
     PlanConfig,
@@ -56,25 +52,8 @@ def test_schedule_power_rejects_bad_durations():
 
 
 # ---------------------------------------------------------------------------
-# Power keys (satellites: sudden-drop key + supply_key)
+# Power keys
 # ---------------------------------------------------------------------------
-
-
-def test_sudden_drop_key_round_trips():
-    supply = SuddenDropPower(50_000, drop_every=3, drop_cycles=800)
-    assert supply.name == "sudden-drop-50000-3-800"
-    rebuilt = power_from_key(supply.name)
-    assert isinstance(rebuilt, SuddenDropPower)
-    assert vars(rebuilt) == vars(supply)
-    assert supply_key(supply) == supply.name
-
-
-def test_schedule_key_round_trips():
-    supply = SchedulePower((123, 1041))
-    rebuilt = power_from_key(supply.name)
-    assert isinstance(rebuilt, SchedulePower)
-    assert rebuilt.durations == (123, 1041)
-    assert supply_key(supply) == "schedule-123-1041"
 
 
 def test_malformed_parameterised_keys_rejected():
@@ -82,42 +61,6 @@ def test_malformed_parameterised_keys_rejected():
                 "schedule-10-x"):
         with pytest.raises(ValueError):
             power_from_key(bad)
-
-
-def test_supply_key_for_builtin_supplies():
-    assert supply_key(ContinuousPower()) == "continuous"
-    assert supply_key(FixedPeriodPower(50_000)) == "fixed-50000"
-    for key in ("fixed-50000", "trace-a", "trace-b",
-                "sudden-drop-50000-3-800", "schedule-100-1041"):
-        assert supply_key(power_from_key(key)) == key
-
-
-def test_supply_key_hashes_anonymous_custom_supplies():
-    class Custom(PowerSupply):
-        def __init__(self, period):
-            self.period = period
-            self.name = "custom"
-
-        def on_durations(self):
-            while True:
-                yield self.period
-
-    a, b, c = Custom(100), Custom(200), Custom(100)
-    assert supply_key(a).startswith("custom-")
-    assert supply_key(a) != supply_key(b)      # distinct params, distinct keys
-    assert supply_key(a) == supply_key(c)      # same params share the cell
-
-
-def test_supply_key_does_not_let_subclasses_alias_builtins():
-    class Lying(FixedPeriodPower):
-        def on_durations(self):
-            yield 1
-            while True:
-                yield 1 << 62
-
-    impostor = Lying(50_000)                    # inherits name "fixed-50000"
-    assert supply_key(impostor) != "fixed-50000"
-    assert supply_key(impostor).startswith("custom-")
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +97,18 @@ def test_oracle_harvest_records_checkpoints_and_windows():
     assert cycles == sorted(cycles)
 
 
-@pytest.mark.parametrize("power_key", [None, "schedule-5000-2000-3000"])
-def test_event_trace_is_interpreter_independent(power_key):
-    power = power_from_key(power_key) if power_key else None
+@pytest.mark.parametrize("durations", [
+    pytest.param(None, id="None"),
+    pytest.param((5000, 2000, 3000), id="schedule-5000-2000-3000"),
+])
+def test_event_trace_is_interpreter_independent(durations):
+    power = SchedulePower(durations) if durations else None
     fast, fast_stats = _traced_run(True, power)
-    power = power_from_key(power_key) if power_key else None
+    power = SchedulePower(durations) if durations else None
     ref, ref_stats = _traced_run(False, power)
     assert fast.as_tuples() == ref.as_tuples()
     assert fast_stats.cycles == ref_stats.cycles
-    if power_key:
+    if durations:
         assert fast.of_kind("restore")         # the schedule really fired
 
 

@@ -8,6 +8,9 @@ reverse), and no module may import an underscore-prefixed name from
 ``static_war``, ``idempotence``, ``redundancy``, ``progress`` or the
 machine-level region engine ``repro.backend.mir_war``: what one
 certifier reuses of another is that module's public API.
+
+No module imports a name it never uses, unless it exports the name in
+``__all__`` or the name is in :data:`TRACER_IMPORTS`.
 """
 
 import ast
@@ -20,6 +23,16 @@ SEALED = {
     f"repro.analysis.{name}"
     for name in ("static_war", "idempotence", "redundancy", "progress")
 } | {"repro.backend.mir_war"}
+
+#: names imported only so that perfbench's tracer can wrap them under
+#: the module attribute its ``ENTRY_POINTS`` name
+TRACER_IMPORTS = {
+    ("repro.core.lint", "verify_module_war"),
+    ("repro.core.lint", "lower_module"),
+    ("repro.core.lint", "verify_mmodule_war"),
+    ("repro.core.pipeline", "verify_module_war"),
+    ("repro.core.pipeline", "verify_mmodule_war"),
+}
 
 
 def modules():
@@ -86,3 +99,52 @@ def test_relative_imports_resolve_against_the_package():
 
 def test_no_layer_or_private_name_violations():
     assert violations() == []
+
+
+def unused_imports(source):
+    """Names the module's imports bind that it neither reads nor lists in
+    ``__all__``.  A name read only in a quoted annotation counts as
+    read."""
+    tree = ast.parse(source)
+    bound, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported |= {e.value for e in node.value.elts}
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(note.value))
+                         if isinstance(n, ast.Name)}
+    return sorted(bound - read - exported)
+
+
+def test_unused_import_scan():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from typing import Dict, List, Optional\n"
+              "from .x import A, B as C, D\n"
+              "__all__ = ['D']\n"
+              "def f(a: 'Optional[int]') -> List: return os.path.join(C)\n")
+    assert unused_imports(source) == ["A", "Dict"]
+
+
+def test_no_unused_imports():
+    found = set()
+    for name, _is_package, path in modules():
+        with open(path) as handle:
+            found |= {(name, unused) for unused in unused_imports(handle.read())}
+    assert sorted(found - TRACER_IMPORTS) == []
+    # an allowlisted name the module now uses leaves the allowlist
+    assert TRACER_IMPORTS <= found

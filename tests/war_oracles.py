@@ -17,8 +17,8 @@ from repro.analysis.memdep import (
     WARViolation,
     _Access,
     _classify_pair,
-    _is_barrier,
     _resolved_by_barrier_index,
+    is_barrier,
 )
 from repro.core.hitting_set import _stable
 from repro.ir.instructions import Call, Load, Store
@@ -44,7 +44,7 @@ def scan_wars(function, aa, loop_info, calls_are_checkpoints=True,
                   and summaries.is_transparent_call(instr)):
                 loads.append(instr)
                 stores.append(instr)
-            if _is_barrier(instr, calls_are_checkpoints, summaries):
+            if is_barrier(instr, calls_are_checkpoints, summaries):
                 barriers.append(idx)
         barrier_index[id(block)] = barriers
     reach = reachability(function.blocks, lambda block: block.successors)
