@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .core import ENVIRONMENTS, iclang
 from .core.lint import (
@@ -447,24 +448,10 @@ def _cmd_inject(args) -> int:
         overrides["event_cap"] = args.event_cap
     config = (quick_config if args.quick else full_config)(**overrides)
     if args.bench:
-        config = _dc_replace(config, benches=tuple(args.bench))
+        config = replace(config, benches=tuple(args.bench))
     if args.env:
-        config = _dc_replace(config, envs=tuple(args.env))
-    try:
-        report = run_campaign(config)
-    except Exception as exc:  # compile failure, unknown bench/env, ...
-        print(f"inject: campaign failed: {exc}", file=sys.stderr)
-        return 2
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report.to_json() + "\n")
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render_text())
-        if args.output:
-            print(f"wrote {args.output}")
-    return 0 if report.certified else 1
+        config = replace(config, envs=tuple(args.env))
+    return _run_inject(args, run_campaign, config, "campaign failed")
 
 
 def _cmd_inject_differential(args) -> int:
@@ -484,21 +471,8 @@ def _cmd_inject_differential(args) -> int:
     if args.bench or args.env:
         print("inject: --differential uses its built-in cell set; "
               "--bench/--env are ignored", file=sys.stderr)
-    try:
-        report = run_differential(config)
-    except Exception as exc:
-        print(f"inject: differential run failed: {exc}", file=sys.stderr)
-        return 2
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report.to_json() + "\n")
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render_text())
-        if args.output:
-            print(f"wrote {args.output}")
-    return 0 if report.certified else 1
+    return _run_inject(args, run_differential, config,
+                       "differential run failed")
 
 
 def _cmd_inject_progress(args) -> int:
@@ -516,11 +490,19 @@ def _cmd_inject_progress(args) -> int:
             cells = tuple(c for c in cells if c[0] in set(args.bench))
         if args.env:
             cells = tuple(c for c in cells if c[1] in set(args.env))
-        config = _dc_replace(config, cells=cells)
+        config = replace(config, cells=cells)
+    return _run_inject(args, run_progress_differential, config,
+                       "progress differential failed")
+
+
+def _run_inject(args, run, config, failure: str) -> int:
+    """Run one ``inject`` mode and emit its report: the JSON to ``-o``,
+    the JSON or text to stdout.  Exit 0 certified, 1 findings, 2 when
+    the run itself fails (compile failure, unknown bench/env, ...)."""
     try:
-        report = run_progress_differential(config)
+        report = run(config)
     except Exception as exc:
-        print(f"inject: progress differential failed: {exc}", file=sys.stderr)
+        print(f"inject: {failure}: {exc}", file=sys.stderr)
         return 2
     if args.output:
         with open(args.output, "w") as handle:
@@ -532,12 +514,6 @@ def _cmd_inject_progress(args) -> int:
         if args.output:
             print(f"wrote {args.output}")
     return 0 if report.certified else 1
-
-
-def _dc_replace(config, **kwargs):
-    from dataclasses import replace
-
-    return replace(config, **kwargs)
 
 
 def _cmd_cache(args) -> int:

@@ -4,14 +4,16 @@ analysis.
 Two layers:
 
 :class:`AndersenPointsTo`
-    A whole-program, Andersen-style (inclusion-based) points-to analysis.
-    Unlike the lightweight argument map of :mod:`repro.analysis.pointsto`
-    it tracks *every* pointer-valued SSA value, follows pointers stored
-    into memory, and keeps the heap field-sensitive: the contents of a
-    global or alloca are split per constant byte offset (computed with
-    the same affine decomposition the alias analysis uses for GEP
+    A whole-program, Andersen-style (inclusion-based) points-to analysis,
+    the one engine behind every environment's argument points-to sets
+    (:func:`repro.analysis.pointsto.compute_points_to` is its argument
+    slice).  It tracks every pointer-valued SSA value, follows pointers
+    stored into memory, and keeps the heap field-sensitive: the contents
+    of a global or alloca are split per constant byte offset (computed
+    with the same affine decomposition the alias analysis uses for GEP
     chains), with a ``'*'`` summary field for offsets that are not
-    compile-time constants.
+    compile-time constants.  An address it does not track — integer
+    arithmetic, a constant, an integer parameter — points anywhere.
 
 :func:`compute_summaries`
     Per-function **mod/ref summaries**: the set of objects (globals,
@@ -63,12 +65,15 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.types import is_pointer
-from ..ir.values import GlobalVariable
+from ..ir.values import Argument, GlobalVariable, UndefValue
 from .alias import PRECISE, AliasAnalysis, _affine_index
 from .pointsto import MAX_GEP_DEPTH, PointsToMap, TopCause, report_top_causes
 
 #: Field key for "some statically-unknown offset inside the object".
 ANY_FIELD = "*"
+
+#: Pointer-typed SSA values whose points-to set the solver computes.
+_TRACKED = (Argument, Phi, Select, Load, Call)
 
 
 def _describe(value) -> str:
@@ -85,38 +90,59 @@ class AndersenPointsTo:
     """Whole-program inclusion-based points-to with a field-sensitive
     heap.
 
-    ``pts`` maps ``id(value)`` of every pointer-valued SSA value to the
-    set of objects it may point into (``None`` = TOP).  ``heap`` maps
-    ``(id(object), field)`` — field a constant byte offset or
-    :data:`ANY_FIELD` — to the objects a pointer *stored at* that field
-    may point into.
+    ``pts`` maps ``id(value)`` of every pointer-valued SSA value but a
+    GEP to the set of objects it may point into (``None`` = TOP).
+    ``heap`` maps ``id(object)`` to its cells: ``field`` — a constant
+    byte offset or :data:`ANY_FIELD` — to the objects a value *stored
+    at* that field may point into.  An integer read back as a pointer
+    points anywhere, so an integer store, or an initialiser, makes its
+    object's :data:`ANY_FIELD` cell TOP.
     """
 
     def __init__(self, module):
         self.module = module
         self.pts: Dict[int, Set] = {}
         self.top: Set[int] = set()
-        #: (id(object), field) -> set of objects, or None for TOP
-        self.heap: Dict[Tuple[int, object], Optional[Set]] = {}
-        #: a pointer escaped through a TOP location: every heap read is TOP
+        #: id(object) -> {field: set of objects, or None for TOP}; an
+        #: initialised global holds integers from the start
+        self.heap: Dict[int, Dict[object, Optional[Set]]] = {
+            id(g): {ANY_FIELD: None} for g in module.globals.values()
+            if g.initializer is not None}
+        #: a store went through a TOP location: every heap read is TOP
         self.heap_top = False
         self.causes: List[TopCause] = []
-        self._objects_by_id: Dict[int, object] = {}
         #: objects whose address is stored to memory, returned, or passed
         #: to an external callee; None = everything escapes
         self._escaped: Optional[Set] = set()
         self._solve()
 
     # -- basic lattice ops ----------------------------------------------
-    def pointees(self, value) -> Optional[Set]:
-        """Objects ``value`` may point to (``None`` = TOP)."""
+    def pointees(self, value, fname: str = "?") -> Optional[Set]:
+        """Objects ``value`` may point to (``None`` = TOP).
+
+        A GEP points where its base points.  Only the values the solver
+        tracks have a bounded set: a global, an alloca, or a
+        pointer-typed argument, phi, select, load or call result.  An
+        undefined value names no object.  Any other address — integer
+        arithmetic, a constant, an integer parameter — is TOP, with a
+        cause recorded against ``fname``, the function that uses it.
+        """
+        while isinstance(value, GetElementPtr):
+            value = value.base
         if isinstance(value, (GlobalVariable, Alloca)):
             return {value}
-        if value is None:
+        if isinstance(value, UndefValue):
             return set()
         if id(value) in self.top:
             return None
-        return self.pts.get(id(value), set())
+        if isinstance(value, _TRACKED) and is_pointer(value.type):
+            return self.pts.get(id(value), set())
+        self._mark_top(
+            value, "analysis-unknown-root", fname,
+            f"pointer expression rooted at {_describe(value)} "
+            f"({type(value).__name__}) is not a named object; its "
+            f"points-to set degrades to TOP")
+        return None
 
     def _flow_into(self, dst, new: Optional[Set]) -> bool:
         """pts(dst) ⊇ new; returns True on growth."""
@@ -177,21 +203,20 @@ class AndersenPointsTo:
         root, _field = self._decompose(ptr, fname)
         if root is None:
             return None
-        return self.pointees(root)
+        return self.pointees(root, fname)
 
     # -- heap cells ------------------------------------------------------
     def _heap_write(self, obj, fld, new: Optional[Set]) -> bool:
-        key = (id(obj), fld)
-        self._objects_by_id[id(obj)] = obj
-        cur = self.heap.get(key, set())
+        cells = self.heap.setdefault(id(obj), {})
+        cur = cells.get(fld, set())
         if cur is None:
             return False
         if new is None:
-            self.heap[key] = None
+            cells[fld] = None
             return True
         grew = new - cur
         if grew:
-            self.heap[key] = cur | grew
+            cells[fld] = cur | grew
             return True
         return False
 
@@ -199,9 +224,7 @@ class AndersenPointsTo:
         if self.heap_top:
             return None
         out: Set = set()
-        for (oid, f), cell in self.heap.items():
-            if oid != id(obj):
-                continue
+        for f, cell in self.heap.get(id(obj), {}).items():
             if fld == ANY_FIELD or f == ANY_FIELD or f == fld:
                 if cell is None:
                     return None
@@ -210,7 +233,7 @@ class AndersenPointsTo:
 
     # -- the solver ------------------------------------------------------
     def _solve(self) -> None:
-        copies: List[Tuple[object, object]] = []      # (dst, src)
+        copies: List[Tuple[object, object, str]] = [] # (dst, src, fn)
         loads: List[Tuple[object, object, str]] = []  # (dst, ptr, fn)
         stores: List[Tuple[object, object, str]] = [] # (ptr, src, fn)
         rets: Dict[str, List[object]] = {}            # fn name -> ret values
@@ -218,20 +241,19 @@ class AndersenPointsTo:
         for function in self.module.defined_functions():
             fname = function.name
             for instr in function.instructions():
-                if isinstance(instr, GetElementPtr):
-                    copies.append((instr, instr.base))
-                elif isinstance(instr, Phi) and is_pointer(instr.type):
+                if isinstance(instr, Phi) and is_pointer(instr.type):
                     for value in instr.operands:
-                        copies.append((instr, value))
+                        copies.append((instr, value, fname))
                 elif isinstance(instr, Select) and is_pointer(instr.type):
-                    copies.append((instr, instr.true_value))
-                    copies.append((instr, instr.false_value))
+                    copies.append((instr, instr.true_value, fname))
+                    copies.append((instr, instr.false_value, fname))
                 elif isinstance(instr, Load) and is_pointer(instr.type):
                     loads.append((instr, instr.pointer, fname))
-                elif isinstance(instr, Store) and is_pointer(instr.value.type):
+                elif isinstance(instr, Store):
                     stores.append((instr.pointer, instr.value, fname))
                 elif isinstance(instr, Ret) and instr.value is not None \
-                        and is_pointer(instr.value.type):
+                        and (is_pointer(instr.value.type)
+                             or is_pointer(function.return_type)):
                     rets.setdefault(fname, []).append(instr.value)
                 elif isinstance(instr, Call):
                     callee = instr.callee
@@ -255,18 +277,25 @@ class AndersenPointsTo:
                         continue
                     for param, actual in zip(callee.args, instr.args):
                         if is_pointer(param.type):
-                            copies.append((param, actual))
+                            copies.append((param, actual, fname))
                     if is_pointer(instr.type):
-                        copies.append((instr, ("ret", callee.name)))
+                        copies.append((instr, ("ret", callee.name), fname))
 
         # escape roots: pointers stored into memory, returned, or passed
         # to externals (handled above)
-        escape_sources = [src for _ptr, src, _f in stores]
-        escape_sources.extend(v for vs in rets.values() for v in vs)
+        escape_sources = [
+            (src, f) for _ptr, src, f in stores if is_pointer(src.type)]
+        escape_sources.extend(
+            (v, f) for f, vs in rets.items() for v in vs)
 
-        # pre-decompose the access paths once (they are static)
+        # pre-decompose the access paths once (they are static).  An
+        # integer store (src None) may overlap any pointer cell of any
+        # object its address points into, so it writes TOP to ANY_FIELD
+        # of each; it needs no field, so no decomposition.
         store_paths = [
-            (self._decompose(ptr, f), src, f) for ptr, src, f in stores
+            (self._decompose(ptr, f), src, f) if is_pointer(src.type)
+            else ((ptr, ANY_FIELD), None, f)
+            for ptr, src, f in stores
         ]
         load_paths = [
             (dst, self._decompose(ptr, f), f) for dst, ptr, f in loads
@@ -275,29 +304,29 @@ class AndersenPointsTo:
         changed = True
         while changed:
             changed = False
-            for dst, src in copies:
+            for dst, src, fname in copies:
                 if isinstance(src, tuple):  # ("ret", callee name)
                     new: Optional[Set] = set()
                     for value in rets.get(src[1], ()):
-                        pointees = self.pointees(value)
+                        pointees = self.pointees(value, src[1])
                         if pointees is None:
                             new = None
                             break
                         new |= pointees
                 else:
-                    new = self.pointees(src)
+                    new = self.pointees(src, fname)
                 if self._flow_into(dst, new):
                     changed = True
             for (root, fld), src, fname in store_paths:
-                val = self.pointees(src)
-                targets = None if root is None else self.pointees(root)
+                val = None if src is None else self.pointees(src, fname)
+                targets = None if root is None else self.pointees(root, fname)
                 if targets is None:
                     if not self.heap_top:
                         self.heap_top = True
                         self.causes.append(TopCause(
                             "analysis-heap-store-top", fname,
-                            "store of a pointer through an unbounded "
-                            "pointer; every heap cell degrades to TOP",
+                            "store through an unbounded pointer; every "
+                            "heap cell degrades to TOP",
                             None,
                         ))
                         changed = True
@@ -307,7 +336,7 @@ class AndersenPointsTo:
                     if self._heap_write(obj, cell_field, val):
                         changed = True
             for dst, (root, fld), fname in load_paths:
-                targets = None if root is None else self.pointees(root)
+                targets = None if root is None else self.pointees(root, fname)
                 if targets is None or self.heap_top:
                     if self._mark_top(
                         dst, "analysis-unknown-root", fname,
@@ -324,13 +353,21 @@ class AndersenPointsTo:
                         new = None
                         break
                     new |= cell
-                if self._flow_into(dst, new):
+                if new is None:
+                    if self._mark_top(
+                        dst, "analysis-unknown-root", fname,
+                        f"load of a pointer from memory that may hold an "
+                        f"integer or an unbounded pointer in '{fname}'; "
+                        f"its points-to set degrades to TOP",
+                    ):
+                        changed = True
+                elif self._flow_into(dst, new):
                     changed = True
 
         # finalise escapes
         if self._escaped is not None:
-            for src in escape_sources:
-                pointees = self.pointees(src)
+            for src, fname in escape_sources:
+                pointees = self.pointees(src, fname)
                 if pointees is None:
                     self._escaped = None
                     break

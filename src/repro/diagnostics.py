@@ -1,12 +1,14 @@
 """Structured compiler diagnostics.
 
-Every verifier in the reproduction (the static WAR verifiers, the machine
-IR structural verifier, the idempotence and progress certifiers, and the
-fault-injection campaign's cross-checks) reports its findings as
-:class:`Diagnostic` values collected by a :class:`DiagnosticEngine`, so
-one program has one uniform diagnostic stream regardless of which level
-of the pipeline produced it.  The emulator's dynamic WAR checker reports
-:class:`~repro.emulator.warcheck.Violation` values instead.
+Every static verifier in the reproduction (the static WAR verifiers, the
+machine IR structural verifier, the idempotence and progress certifiers)
+reports its findings as :class:`Diagnostic` values collected by a
+:class:`DiagnosticEngine`, so one program has one uniform diagnostic
+stream regardless of which level of the pipeline produced it.  The
+emulator's dynamic WAR checker reports
+:class:`~repro.emulator.warcheck.Violation` values instead, and the
+fault-injection campaigns and differentials report through their own
+report objects (:mod:`repro.faultinject`).
 
 A diagnostic carries:
 
@@ -14,7 +16,7 @@ A diagnostic carries:
 * a stable *code* (e.g. ``war-forward``, ``mir-war-spill``) suitable for
   filtering and CI gating,
 * the *level* that produced it (``ir`` middle end, ``mir`` back end,
-  ``certify``, ``campaign``),
+  ``certify``),
 * the owning *function* and an idempotent-*region* identifier,
 * a primary :class:`SourceLoc` (threaded from the mini-C front end
   through IR lowering into machine IR, so even spill-slot diagnostics can
@@ -41,10 +43,6 @@ SEVERITIES = (ERROR, WARNING, NOTE)
 #: Pipeline levels a diagnostic can originate from.
 LEVEL_IR = "ir"
 LEVEL_MIR = "mir"
-#: findings of the power-failure fault-injection campaign
-#: (:mod:`repro.faultinject`): differential divergence from the
-#: continuous-power oracle under a concrete failure schedule
-LEVEL_CAMPAIGN = "campaign"
 #: findings of the static idempotence certifier
 #: (:mod:`repro.analysis.idempotence`): per-region re-execution proof
 #: obligations that could not be discharged
@@ -285,7 +283,7 @@ def render_sarif(diagnostics: List[Diagnostic],
 
 __all__ = [
     "ERROR", "WARNING", "NOTE", "SEVERITIES",
-    "LEVEL_IR", "LEVEL_MIR", "LEVEL_CAMPAIGN", "LEVEL_CERTIFY",
+    "LEVEL_IR", "LEVEL_MIR", "LEVEL_CERTIFY",
     "SourceLoc", "Diagnostic", "DiagnosticEngine",
     "render_text", "render_json", "render_sarif",
 ]

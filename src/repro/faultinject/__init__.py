@@ -19,9 +19,9 @@ failures blindly; this subsystem *aims* them.  A campaign
    image digest, declared benchmark outputs, and the dynamic WAR-checker
    verdict must all match continuous power — and **shrinks** any failing
    schedule to a minimal failure-point set;
-5. **reports** text/JSON plus per-point observability counters, and
-   exports findings as ``campaign``-level
-   :class:`~repro.diagnostics.Diagnostic` values.
+5. **reports** text/JSON (:class:`CampaignReport`) with every failing
+   cell's verdict, reason and shrunk schedule, plus per-point
+   observability counters.
 
 Entry points: :func:`run_campaign` (library) and ``python -m repro
 inject`` (CLI).

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from ..core.pipeline import ENVIRONMENTS, environment
-from ..diagnostics import ERROR, LEVEL_CAMPAIGN, WARNING, Diagnostic
+from ..diagnostics import ERROR
 from .campaign import (
     CampaignConfig,
     Env,
@@ -249,42 +249,6 @@ class DifferentialReport:
             f"cells consistent"
         )
         return "\n".join(lines)
-
-    def diagnostics(self) -> List[Diagnostic]:
-        """Export disagreements: ``differential-unsound`` (ERROR) when
-        the certifier signed off on a dynamically broken cell,
-        ``differential-missed`` (ERROR) when the campaign failed to
-        reproduce a seeded bug, ``differential-incomplete`` (WARNING)
-        for permitted static over-approximation."""
-        out = []
-        for cell in self.cells:
-            where = f"{cell.bench}/{cell.env}"
-            if cell.agreement == UNSOUND:
-                out.append(Diagnostic(
-                    ERROR, "differential-unsound",
-                    f"{where}: statically certified idempotent, but the "
-                    f"injection campaign found: "
-                    + "; ".join(cell.dynamic_reasons),
-                    function=cell.bench, level=LEVEL_CAMPAIGN,
-                ))
-            elif cell.agreement == INCOMPLETE and cell.knobs:
-                out.append(Diagnostic(
-                    ERROR, "differential-missed",
-                    f"{where}: seeded bug ({', '.join(cell.knobs)}) "
-                    f"flagged statically "
-                    f"({', '.join(cell.static_codes)}) but the campaign "
-                    f"observed no dynamic divergence",
-                    function=cell.bench, level=LEVEL_CAMPAIGN,
-                ))
-            elif cell.agreement == INCOMPLETE:
-                out.append(Diagnostic(
-                    WARNING, "differential-incomplete",
-                    f"{where}: static findings "
-                    f"({', '.join(cell.static_codes)}) not reproduced "
-                    f"dynamically (over-approximation)",
-                    function=cell.bench, level=LEVEL_CAMPAIGN,
-                ))
-        return out
 
 
 def _static_verdict(bench_name: str, env: Env, cache):
@@ -517,42 +481,6 @@ class ProgressReport:
             f"cells consistent"
         )
         return "\n".join(lines)
-
-    def diagnostics(self) -> List[Diagnostic]:
-        """Export disagreements: ``progress-unsound`` (ERROR) when an
-        observed gap exceeded its static bound or a cell certified to
-        progress at budget B starved with on-time ≥ B;
-        ``progress-incomplete`` (WARNING) when a statically unbounded
-        cell failed to starve within its expected-starvation window."""
-        out = []
-        for cell in self.cells:
-            where = f"{cell.bench}/{cell.env}"
-            if cell.agreement == PROGRESS_UNSOUND:
-                if cell.static_bound is not None \
-                        and cell.dynamic_max_gap > cell.static_bound:
-                    detail = (
-                        f"observed inter-checkpoint gap "
-                        f"{cell.dynamic_max_gap} exceeds the static bound "
-                        f"{cell.static_bound}"
-                    )
-                else:
-                    detail = (
-                        f"certified to progress at {cell.static_bound} "
-                        f"cycles/region but starved with on-time "
-                        f"{cell.on_time}"
-                    )
-                out.append(Diagnostic(
-                    ERROR, "progress-unsound", f"{where}: {detail}",
-                    function=cell.bench, level=LEVEL_CAMPAIGN,
-                ))
-            elif cell.agreement == PROGRESS_INCOMPLETE:
-                out.append(Diagnostic(
-                    WARNING, "progress-incomplete",
-                    f"{where}: statically unbounded but completed under "
-                    f"on-time {cell.on_time} (over-approximation)",
-                    function=cell.bench, level=LEVEL_CAMPAIGN,
-                ))
-        return out
 
 
 def _progress_static(bench_name: str, env: Env, cache) -> Optional[int]:

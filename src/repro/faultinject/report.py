@@ -1,4 +1,4 @@
-"""Campaign reporting: text, stable JSON, and diagnostics export.
+"""Campaign reporting: text and stable JSON.
 
 The JSON schema is deliberately timestamp-free and fully ordered (pairs
 in sweep order, cells in plan order, keys sorted) so that two campaigns
@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..diagnostics import ERROR, LEVEL_CAMPAIGN, Diagnostic
 from .campaign import CampaignConfig, Judged, PairResult, env_name
 
 
@@ -100,25 +99,6 @@ class CampaignReport:
             f"({len(self.pairs)} pairs)"
         )
         return "\n".join(lines)
-
-    # -- diagnostics export ----------------------------------------------
-    def diagnostics(self) -> List[Diagnostic]:
-        """Findings as ``campaign``-level ERROR diagnostics (one per
-        failing cell, code ``inject-<verdict>``)."""
-        out = []
-        for pair in self.pairs:
-            for judged in pair.findings:
-                schedule = judged.shrunk or judged.outcome.schedule
-                points = ",".join(str(d) for d in schedule)
-                out.append(Diagnostic(
-                    ERROR,
-                    f"inject-{judged.verdict}",
-                    f"{pair.bench}/{pair.env}: schedule ({points}) — "
-                    f"{judged.reason or judged.verdict}",
-                    function=pair.bench,
-                    level=LEVEL_CAMPAIGN,
-                ))
-        return out
 
 
 def _pair_dict(pair: PairResult) -> Dict[str, object]:

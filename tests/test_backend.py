@@ -1,14 +1,11 @@
 """Back-end tests: instruction selection, register allocation, spill
 checkpoints, frame lowering, and encoding."""
 
-import pytest
-
 from helpers import compile_and_run
 
-from repro.backend import Program, encode_module, lower_module
+from repro.backend import encode_module, lower_module
 from repro.backend.encoder import GLOBALS_BASE, encode_size
-from repro.backend.mir import ALLOCATABLE, MInstr, VReg
-from repro.backend.regalloc import CALLER_POOL
+from repro.backend.mir import ALLOCATABLE, VReg
 from repro.backend.spill_checkpoints import find_spill_wars
 from repro.core.pipeline import environment, run_middle_end
 from repro.frontend import compile_source

@@ -4,7 +4,7 @@ runs and the paper's headline orderings."""
 
 import pytest
 
-from helpers import ALL_ENVIRONMENTS, INSTRUMENTED
+from helpers import ALL_ENVIRONMENTS
 
 from repro import FixedPeriodPower, Machine
 from repro.benchsuite import BENCHMARKS, compile_benchmark, run_benchmark
@@ -34,9 +34,7 @@ class TestReferenceImplementations:
         assert reference()["crc_result"] == zlib.crc32(message)
 
     def test_sha_reference_matches_hashlib(self):
-        import hashlib
-
-        from repro.benchsuite.sha import _make_data, reference
+        from repro.benchsuite.sha import reference
 
         # our reference hashes exactly 8 blocks with no padding, so feed
         # hashlib the raw 512 bytes and compare against its *compression*

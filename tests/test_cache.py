@@ -7,8 +7,6 @@ import subprocess
 import sys
 import zlib
 
-import pytest
-
 from repro import iclang
 from repro.cache import (
     COMPILER_VERSION_TAG,

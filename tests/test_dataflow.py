@@ -7,7 +7,6 @@ from repro.analysis.dataflow import (
     BK,
     FW,
     CFGProblem,
-    DataflowProblem,
     interval_add,
     interval_covers,
     interval_intersect,

@@ -9,8 +9,6 @@ a 0.999 cost scaling of write-adjacent positions in
 the end-to-end placement it produces.
 """
 
-import pytest
-
 from repro.core import environment, greedy_hitting_set
 from repro.core.pipeline import run_middle_end
 from repro.frontend import compile_sources

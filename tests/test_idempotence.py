@@ -291,8 +291,6 @@ def test_quick_differential_run_agrees_everywhere():
         assert any(code.startswith("idempotence-")
                    for code in cell.static_codes), cell.static_codes
         assert not cell.dynamic_clean
-    # errors only on disagreement; full agreement exports nothing
-    assert report.diagnostics() == []
     # the JSON report round-trips
     assert json.loads(report.to_json())["certified"] is True
 

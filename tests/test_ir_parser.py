@@ -3,8 +3,6 @@ through the printer."""
 
 import pytest
 
-from helpers import ALL_ENVIRONMENTS
-
 from repro import Machine
 from repro.core import build
 from repro.frontend import compile_source

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.ir import (
-    I1,
     I32,
-    VOID,
     Branch,
-    CondBranch,
     Constant,
     FunctionType,
     IRBuilder,

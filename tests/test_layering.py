@@ -10,13 +10,16 @@ machine-level region engine ``repro.backend.mir_war``: what one
 certifier reuses of another is that module's public API.
 
 No module imports a name it never uses, unless it exports the name in
-``__all__`` or the name is in :data:`TRACER_IMPORTS`.
+``__all__`` or the name is in :data:`TRACER_IMPORTS`; the same holds for
+every Python file under ``tests/`` (helpers and the golden generator
+included), which has no exceptions.
 """
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, "..", "src")
 
 #: the modules whose private names no other module may import
 SEALED = {
@@ -141,8 +144,13 @@ def test_unused_import_scan():
 
 
 def test_no_unused_imports():
+    files = [(name, path) for name, _is_package, path in modules()]
+    for dirpath, _dirs, names in os.walk(TESTS):
+        files += [(os.path.relpath(os.path.join(dirpath, file), TESTS),
+                   os.path.join(dirpath, file))
+                  for file in sorted(names) if file.endswith(".py")]
     found = set()
-    for name, _is_package, path in modules():
+    for name, path in files:
         with open(path) as handle:
             found |= {(name, unused) for unused in unused_imports(handle.read())}
     assert sorted(found - TRACER_IMPORTS) == []

@@ -8,11 +8,8 @@ from repro.backend.mir import (
     ARG_REGS,
     INVERT_COND,
     PREDICATE_TO_COND,
-    MBlock,
     MFunction,
     MInstr,
-    MModule,
-    StackSlot,
     VReg,
     mfunction_to_str,
 )

@@ -12,16 +12,14 @@ from repro import Machine, iclang
 from repro.analysis.progress import (
     UNBOUNDED,
     argument_constants,
-    certify_module_progress,
     loop_trip_bounds,
     module_progress_verdict,
-    progress_bound,
 )
 from repro.benchsuite import BENCHMARKS, get_benchmark, verify_outputs
 from repro.core.lint import lint_sources
-from repro.emulator import Machine as _Machine, NoForwardProgress
+from repro.emulator import NoForwardProgress
 from repro.emulator.costs import DEFAULT_COSTS
-from repro.emulator.events import Event, EventTrace
+from repro.emulator.events import EventTrace
 from repro.emulator.power import FixedPeriodPower
 from repro.emulator.stats import ExecutionStats
 from repro.frontend import compile_sources

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro import iclang
 from repro.__main__ import main
 from repro.analysis import (
     AFFINE,
@@ -22,14 +23,17 @@ from repro.analysis import (
     verify_function_war,
     verify_module_war,
 )
-from repro.analysis.pointsto import MAX_GEP_DEPTH, compute_points_to
+from repro.analysis.pointsto import MAX_GEP_DEPTH, report_top_causes
 from repro.analysis.summaries import AndersenPointsTo
 from repro.core import insert_checkpoints
+from repro.core.lint import lint_sources
 from repro.diagnostics import WARNING, DiagnosticEngine
 from repro.frontend import compile_source
 from repro.ir.instructions import Call, Load, Store
 from repro.ir.parser import parse_module
 from repro.transforms import optimize_module
+
+from .helpers import INSTRUMENTED, compile_and_run
 
 
 HELPER_SRC = """
@@ -192,6 +196,26 @@ class TestAndersenPointsTo:
         table = compute_summaries(m)
         assert table.functions["main"].mod is None
 
+    def test_undefined_pointer_names_no_object(self):
+        src = """
+        unsigned int a[4];
+        unsigned int acc;
+        int main(void) {
+            unsigned int *p;
+            unsigned int i;
+            for (i = 0; i < 3; i++) {
+                if (i == 1) { p = a; }
+                if (i == 2) { acc = acc + p[0]; }
+            }
+            return 0;
+        }
+        """
+        # mem2reg feeds ``p``'s phi an undef on the path before the store
+        m, table = _summaries(src, optimize=True)
+        assert table.functions["main"].ref == frozenset(
+            {_global(m, "a"), _global(m, "acc")})
+        assert table.causes == []
+
     def test_summary_sets_intersect_top(self):
         assert summary_sets_intersect(None, frozenset())
         assert summary_sets_intersect(frozenset({1}), None)
@@ -217,6 +241,8 @@ class TestGepDepthDiagnostic:
         entry:
         {geps}
           call @use(%p{depth - 1})
+          %y = load i32, %p{depth - 1}
+          store %y, %p{depth - 1}
           ret 0
         }}
         """
@@ -224,16 +250,14 @@ class TestGepDepthDiagnostic:
 
     def test_deep_chain_records_cause(self):
         m = self._deep_module(MAX_GEP_DEPTH + 2)
-        causes = []
-        pt = compute_points_to(m, causes=causes)
-        arg = m.get_function("use").args[0]
-        assert pt[id(arg)] is None  # degraded to TOP
-        assert any(c.code == "analysis-gep-depth" for c in causes)
+        table = compute_summaries(m)
+        assert table.functions["main"].mod is None  # degraded to TOP
+        assert any(c.code == "analysis-gep-depth" for c in table.causes)
 
     def test_deep_chain_emits_warning_diagnostic(self):
         m = self._deep_module(MAX_GEP_DEPTH + 2)
         engine = DiagnosticEngine()
-        compute_points_to(m, engine=engine)
+        compute_summaries(m, engine=engine)
         warnings = [d for d in engine.diagnostics if d.severity == WARNING]
         assert any(d.code == "analysis-gep-depth" for d in warnings)
         assert not engine.has_errors
@@ -241,12 +265,214 @@ class TestGepDepthDiagnostic:
     def test_shallow_chain_is_silent(self):
         m = self._deep_module(4)
         engine = DiagnosticEngine()
-        pt = compute_points_to(m, engine=engine)
+        pt = AndersenPointsTo(m)
+        report_top_causes(pt.causes, engine)
         arg = m.get_function("use").args[0]
-        assert pt[id(arg)] == frozenset({_global(m, "a")})
+        assert pt.argument_map()[id(arg)] == frozenset({_global(m, "a")})
         assert not any(
             d.code.startswith("analysis-") for d in engine.diagnostics
         )
+
+
+#: A loop that keeps the function above the always-inliner's threshold
+#: and, through its read-modify-write of @acc, ends in a checkpoint.
+_PADDED_LOOP = """
+    unsigned int s = 0;
+    unsigned int u = 1;
+    unsigned int i;
+    for (i = 0; i < 3; i++) {
+        s = s + (acc ^ i);
+        u = u * 3 + s;
+        acc = acc + u;
+    }
+"""
+
+#: ``f`` reads ``p[0]``, then writes ``b[1]``: a WAR when ``p`` is
+#: ``&b[1]``, which only a checkpoint between the two protects.
+_F_SRC = """
+unsigned int a[4];
+unsigned int b[4];
+unsigned int acc;
+
+void f(unsigned int *p) {
+    unsigned int t;
+""" + _PADDED_LOOP + """
+    t = p[0];
+    b[1] = t + 1;
+}
+"""
+
+#: The second call to ``f`` passes ``&b[1]`` computed with integer
+#: arithmetic.
+CALL_SITE_SRC = _F_SRC + """
+int main(void) {
+    unsigned int x;
+    f(a);
+    x = (unsigned int)b;
+    f((unsigned int *)(x + 4));
+    return 0;
+}
+"""
+
+#: ``g`` stores through an integer parameter that holds ``&b[0]``, which
+#: ``main`` read before the call; ``g`` must not look transparent.  Its
+#: loop only keeps it from being inlined.
+CALLEE_SRC = """
+unsigned int b[4];
+unsigned int out;
+
+void g(unsigned int addr) {
+    unsigned int *q = (unsigned int *)addr;
+    unsigned int s = 0;
+    unsigned int u = 1;
+    unsigned int i;
+    for (i = 0; i < 3; i++) {
+        s = s + (addr ^ i);
+        u = u * 3 + s;
+        s = s + u;
+    }
+    q[0] = s + u;
+}
+
+int main(void) {
+    unsigned int t = b[0];
+    g((unsigned int)b + 0u);
+    out = t;
+    return 0;
+}
+"""
+
+#: Where the data layout puts ``_F_SRC``'s ``b[1]``.
+B1_ADDRESS = 0x1014
+
+#: The address of ``b[1]`` reaches ``f`` as an integer turned back into a
+#: pointer: stored into a pointer global, into an integer array read back
+#: through a punned pointer, into a pointer global through an integer
+#: address, returned by a function declared to return a pointer, or
+#: written as a constant into an initialised integer array.
+ROUND_TRIP_SRCS = {
+    "integer-in-pointer-cell": _F_SRC + """
+unsigned int *gp;
+void setp(unsigned int v) { gp = (unsigned int *)v; }
+int main(void) {
+    f(a);
+    setp((unsigned int)b + 4);
+    f(gp);
+    return 0;
+}
+""",
+    "punned-integer-cell": _F_SRC + """
+unsigned int cell[1];
+int main(void) {
+    unsigned int **pp;
+    f(a);
+    cell[0] = (unsigned int)b + 4;
+    pp = (unsigned int **)cell;
+    f(pp[0]);
+    return 0;
+}
+""",
+    "store-through-integer-address": _F_SRC + """
+unsigned int *gp;
+void poke(unsigned int addr, unsigned int v) {
+    unsigned int *q = (unsigned int *)addr;
+""" + _PADDED_LOOP + """
+    q[0] = v + (s & 0u);
+}
+int main(void) {
+    f(a);
+    poke((unsigned int)&gp, (unsigned int)b + 4);
+    f(gp);
+    return 0;
+}
+""",
+    "returned-as-pointer": _F_SRC + """
+unsigned int *at(unsigned int v) {
+    unsigned int s = 0;
+    unsigned int u = 1;
+    unsigned int i;
+    for (i = 0; i < 3; i++) {
+        s = s + (acc ^ i);
+        u = u * 3 + s;
+        acc = acc + u;
+        s = s + u;
+        u = u ^ s;
+    }
+    return (unsigned int *)v;
+}
+int main(void) {
+    f(a);
+    f(at((unsigned int)b + 4));
+    return 0;
+}
+""",
+    "initialised-integer-cell": _F_SRC + """
+unsigned int cell[1] = {%#xu};
+int main(void) {
+    unsigned int **pp;
+    f(a);
+    pp = (unsigned int **)cell;
+    f(pp[0]);
+    return 0;
+}
+""" % B1_ADDRESS,
+}
+
+
+def _unknown_root_in(causes, function):
+    return any(c.code == "analysis-unknown-root" and c.function == function
+               for c in causes)
+
+
+def _assert_clean_and_certified(source, env):
+    machine = compile_and_run(source, env, war_check=True)
+    assert machine.war.clean, (env, machine.war.violations[:2])
+    result = lint_sources(source, env, level="full")
+    assert result.certified, (env, result.engine.summary())
+
+
+class TestIntegerDerivedAddresses:
+    """An address the solver does not track points anywhere."""
+
+    def test_integer_arithmetic_argument_is_top(self):
+        m = compile_source(CALL_SITE_SRC)
+        optimize_module(m)
+        pt = AndersenPointsTo(m)
+        param = m.get_function("f").args[0]
+        assert pt.argument_map()[id(param)] is None
+        assert _unknown_root_in(pt.causes, "main")
+
+    def test_store_through_integer_parameter_is_top(self):
+        m = compile_source(CALLEE_SRC)
+        optimize_module(m)
+        table = compute_summaries(m)
+        assert table.functions["g"].mod is None
+        assert "g" not in table.transparent
+        assert _unknown_root_in(table.causes, "g")
+
+    @pytest.mark.parametrize("shape", sorted(ROUND_TRIP_SRCS))
+    def test_integer_read_back_as_pointer_is_top(self, shape):
+        m = compile_source(ROUND_TRIP_SRCS[shape])
+        optimize_module(m)
+        pt = AndersenPointsTo(m)
+        param = m.get_function("f").args[0]
+        assert pt.argument_map()[id(param)] is None
+        assert any(c.code.startswith("analysis-") for c in pt.causes)
+
+    def test_initialised_cell_holds_the_address_of_b1(self):
+        program = iclang(ROUND_TRIP_SRCS["initialised-integer-cell"], "plain")
+        assert program.global_addr["b"] + 4 == B1_ADDRESS
+
+    @pytest.mark.parametrize("env", INSTRUMENTED)
+    @pytest.mark.parametrize("source", [CALL_SITE_SRC, CALLEE_SRC],
+                             ids=["call-site", "callee"])
+    def test_runs_war_clean_and_certifies(self, source, env):
+        _assert_clean_and_certified(source, env)
+
+    @pytest.mark.parametrize("env", ["wario", "wario-summaries"])
+    @pytest.mark.parametrize("shape", sorted(ROUND_TRIP_SRCS))
+    def test_round_trip_runs_war_clean_and_certifies(self, shape, env):
+        _assert_clean_and_certified(ROUND_TRIP_SRCS[shape], env)
 
 
 RELAXED_SRC = """

@@ -19,7 +19,6 @@ from repro.transforms import (
     can_unroll,
     eliminate_dead_code,
     inline_always,
-    inline_call,
     optimize_module,
     promote_memory_to_registers,
     simplify_cfg,
@@ -256,7 +255,7 @@ class TestSimplifyCFG:
         entry = f.entry
         target = entry.successors[0]
         dead = f.add_block("dead")
-        from repro.ir import Branch, Ret
+        from repro.ir import Ret
         dead.append(Ret(Constant(0)))
         entry.remove(entry.terminator)
         entry.append(CondBranch(Constant(1, None) if False else Constant(1), target, dead))

@@ -5,8 +5,6 @@ hazard — mirroring how the paper's emulator validated the system
 (§5.1.1, WAR Violation Absence Verification).
 """
 
-from dataclasses import replace
-
 from repro import Machine, iclang
 from repro.core import environment, run_middle_end
 from repro.backend import encode_module, lower_module
