@@ -150,6 +150,8 @@ class AliasAnalysis:
                 if bases is not None:
                     return PointerInfo(base=ptr, base_set=bases)
             return PointerInfo(base=ptr)
+        if isinstance(ptr, Cast) and ptr.op == "inttoptr":
+            return self.classify(ptr.value)  # the integer is the address
         if isinstance(ptr, GetElementPtr):
             base_info = self.classify(ptr.base)
             elem_size = ptr.element_size

@@ -56,6 +56,7 @@ from ..diagnostics import DiagnosticEngine
 from ..ir.instructions import (
     Alloca,
     Call,
+    Cast,
     Checkpoint,
     GetElementPtr,
     Load,
@@ -74,6 +75,14 @@ ANY_FIELD = "*"
 
 #: Pointer-typed SSA values whose points-to set the solver computes.
 _TRACKED = (Argument, Phi, Select, Load, Call)
+
+
+def _uncast(value):
+    """The value an ``inttoptr`` makes an address of: the address points
+    where that value does."""
+    while isinstance(value, Cast) and value.op == "inttoptr":
+        value = value.value
+    return value
 
 
 def _describe(value) -> str:
@@ -117,18 +126,21 @@ class AndersenPointsTo:
         self._solve()
 
     # -- basic lattice ops ----------------------------------------------
-    def pointees(self, value, fname: str = "?") -> Optional[Set]:
+    def pointees(self, value, fname: str = "?", loc=None) -> Optional[Set]:
         """Objects ``value`` may point to (``None`` = TOP).
 
-        A GEP points where its base points.  Only the values the solver
-        tracks have a bounded set: a global, an alloca, or a
-        pointer-typed argument, phi, select, load or call result.  An
-        undefined value names no object.  Any other address — integer
-        arithmetic, a constant, an integer parameter — is TOP, with a
-        cause recorded against ``fname``, the function that uses it.
+        A GEP points where its base points, and an ``inttoptr`` where its
+        integer does.  Only the values the solver tracks have a bounded
+        set: a global, an alloca, or a pointer-typed argument, phi,
+        select, load or call result.  An undefined value names no
+        object.  Any other address — integer arithmetic, a constant, an
+        integer parameter — is TOP, with a cause recorded against
+        ``fname``, the function that uses it, at ``loc``, the location
+        of the instruction that uses it (else the value's own).
         """
+        value = _uncast(value)
         while isinstance(value, GetElementPtr):
-            value = value.base
+            value = _uncast(value.base)
         if isinstance(value, (GlobalVariable, Alloca)):
             return {value}
         if isinstance(value, UndefValue):
@@ -141,7 +153,7 @@ class AndersenPointsTo:
             value, "analysis-unknown-root", fname,
             f"pointer expression rooted at {_describe(value)} "
             f"({type(value).__name__}) is not a named object; its "
-            f"points-to set degrades to TOP")
+            f"points-to set degrades to TOP", loc)
         return None
 
     def _flow_into(self, dst, new: Optional[Set]) -> bool:
@@ -159,12 +171,14 @@ class AndersenPointsTo:
             return True
         return False
 
-    def _mark_top(self, dst, code: str, fname: str, detail: str) -> bool:
+    def _mark_top(self, dst, code: str, fname: str, detail: str,
+                  loc=None) -> bool:
         if id(dst) in self.top:
             return False
         self.top.add(id(dst))
-        self.causes.append(TopCause(code, fname, detail,
-                                    getattr(dst, "loc", None)))
+        if loc is None:
+            loc = getattr(dst, "loc", None)
+        self.causes.append(TopCause(code, fname, detail, loc))
         return True
 
     # -- pointer decomposition ------------------------------------------
@@ -179,7 +193,7 @@ class AndersenPointsTo:
         offset = 0
         exact = True
         depth = 0
-        value = ptr
+        value = _uncast(ptr)
         while isinstance(value, GetElementPtr):
             depth += 1
             if depth > MAX_GEP_DEPTH:
@@ -195,15 +209,16 @@ class AndersenPointsTo:
                 offset += idx.const * value.element_size
             else:
                 exact = False
-            value = value.base
+            value = _uncast(value.base)
         return value, (offset if exact else ANY_FIELD)
 
-    def objects_of(self, ptr, fname: str = "?") -> Optional[Set]:
-        """Objects an access through ``ptr`` may touch (``None`` = TOP)."""
+    def objects_of(self, ptr, fname: str = "?", loc=None) -> Optional[Set]:
+        """Objects an access at ``loc`` through ``ptr`` may touch
+        (``None`` = TOP)."""
         root, _field = self._decompose(ptr, fname)
         if root is None:
             return None
-        return self.pointees(root, fname)
+        return self.pointees(root, fname, loc)
 
     # -- heap cells ------------------------------------------------------
     def _heap_write(self, obj, fld, new: Optional[Set]) -> bool:
@@ -233,28 +248,30 @@ class AndersenPointsTo:
 
     # -- the solver ------------------------------------------------------
     def _solve(self) -> None:
-        copies: List[Tuple[object, object, str]] = [] # (dst, src, fn)
+        # each constraint keeps the location of the instruction behind it
+        copies: List[Tuple[object, object, str, object]] = [] # (dst, src, fn, loc)
         loads: List[Tuple[object, object, str]] = []  # (dst, ptr, fn)
-        stores: List[Tuple[object, object, str]] = [] # (ptr, src, fn)
-        rets: Dict[str, List[object]] = {}            # fn name -> ret values
+        stores: List[Tuple[object, object, str, object]] = [] # (ptr, src, fn, loc)
+        rets: Dict[str, List[Tuple[object, object]]] = {}  # fn -> (value, loc)
 
         for function in self.module.defined_functions():
             fname = function.name
             for instr in function.instructions():
+                loc = instr.loc
                 if isinstance(instr, Phi) and is_pointer(instr.type):
                     for value in instr.operands:
-                        copies.append((instr, value, fname))
+                        copies.append((instr, value, fname, loc))
                 elif isinstance(instr, Select) and is_pointer(instr.type):
-                    copies.append((instr, instr.true_value, fname))
-                    copies.append((instr, instr.false_value, fname))
+                    copies.append((instr, instr.true_value, fname, loc))
+                    copies.append((instr, instr.false_value, fname, loc))
                 elif isinstance(instr, Load) and is_pointer(instr.type):
                     loads.append((instr, instr.pointer, fname))
                 elif isinstance(instr, Store):
-                    stores.append((instr.pointer, instr.value, fname))
+                    stores.append((instr.pointer, instr.value, fname, loc))
                 elif isinstance(instr, Ret) and instr.value is not None \
                         and (is_pointer(instr.value.type)
                              or is_pointer(function.return_type)):
-                    rets.setdefault(fname, []).append(instr.value)
+                    rets.setdefault(fname, []).append((instr.value, loc))
                 elif isinstance(instr, Call):
                     callee = instr.callee
                     if callee.is_declaration:
@@ -277,25 +294,26 @@ class AndersenPointsTo:
                         continue
                     for param, actual in zip(callee.args, instr.args):
                         if is_pointer(param.type):
-                            copies.append((param, actual, fname))
+                            copies.append((param, actual, fname, loc))
                     if is_pointer(instr.type):
-                        copies.append((instr, ("ret", callee.name), fname))
+                        copies.append((instr, ("ret", callee.name), fname, loc))
 
         # escape roots: pointers stored into memory, returned, or passed
         # to externals (handled above)
         escape_sources = [
-            (src, f) for _ptr, src, f in stores if is_pointer(src.type)]
+            (src, f, loc) for _ptr, src, f, loc in stores
+            if is_pointer(src.type)]
         escape_sources.extend(
-            (v, f) for f, vs in rets.items() for v in vs)
+            (v, f, loc) for f, vs in rets.items() for v, loc in vs)
 
         # pre-decompose the access paths once (they are static).  An
         # integer store (src None) may overlap any pointer cell of any
         # object its address points into, so it writes TOP to ANY_FIELD
         # of each; it needs no field, so no decomposition.
         store_paths = [
-            (self._decompose(ptr, f), src, f) if is_pointer(src.type)
-            else ((ptr, ANY_FIELD), None, f)
-            for ptr, src, f in stores
+            (self._decompose(ptr, f), src, f, loc) if is_pointer(src.type)
+            else ((ptr, ANY_FIELD), None, f, loc)
+            for ptr, src, f, loc in stores
         ]
         load_paths = [
             (dst, self._decompose(ptr, f), f) for dst, ptr, f in loads
@@ -304,22 +322,23 @@ class AndersenPointsTo:
         changed = True
         while changed:
             changed = False
-            for dst, src, fname in copies:
+            for dst, src, fname, loc in copies:
                 if isinstance(src, tuple):  # ("ret", callee name)
                     new: Optional[Set] = set()
-                    for value in rets.get(src[1], ()):
-                        pointees = self.pointees(value, src[1])
+                    for value, ret_loc in rets.get(src[1], ()):
+                        pointees = self.pointees(value, src[1], ret_loc)
                         if pointees is None:
                             new = None
                             break
                         new |= pointees
                 else:
-                    new = self.pointees(src, fname)
+                    new = self.pointees(src, fname, loc)
                 if self._flow_into(dst, new):
                     changed = True
-            for (root, fld), src, fname in store_paths:
-                val = None if src is None else self.pointees(src, fname)
-                targets = None if root is None else self.pointees(root, fname)
+            for (root, fld), src, fname, loc in store_paths:
+                val = None if src is None else self.pointees(src, fname, loc)
+                targets = (None if root is None
+                           else self.pointees(root, fname, loc))
                 if targets is None:
                     if not self.heap_top:
                         self.heap_top = True
@@ -327,7 +346,7 @@ class AndersenPointsTo:
                             "analysis-heap-store-top", fname,
                             "store through an unbounded pointer; every "
                             "heap cell degrades to TOP",
-                            None,
+                            loc,
                         ))
                         changed = True
                     continue
@@ -336,7 +355,8 @@ class AndersenPointsTo:
                     if self._heap_write(obj, cell_field, val):
                         changed = True
             for dst, (root, fld), fname in load_paths:
-                targets = None if root is None else self.pointees(root, fname)
+                targets = (None if root is None
+                           else self.pointees(root, fname, dst.loc))
                 if targets is None or self.heap_top:
                     if self._mark_top(
                         dst, "analysis-unknown-root", fname,
@@ -366,8 +386,8 @@ class AndersenPointsTo:
 
         # finalise escapes
         if self._escaped is not None:
-            for src, fname in escape_sources:
-                pointees = self.pointees(src, fname)
+            for src, fname, loc in escape_sources:
+                pointees = self.pointees(src, fname, loc)
                 if pointees is None:
                     self._escaped = None
                     break
@@ -550,11 +570,11 @@ def _summarize(fn, pt: AndersenPointsTo,
 
     for instr in fn.instructions():
         if isinstance(instr, Load):
-            objs = pt.objects_of(instr.pointer, fn.name)
+            objs = pt.objects_of(instr.pointer, fn.name, instr.loc)
             ref = widen(ref, objs,
                         f"load through an unbounded pointer in '{fn.name}'")
         elif isinstance(instr, Store):
-            objs = pt.objects_of(instr.pointer, fn.name)
+            objs = pt.objects_of(instr.pointer, fn.name, instr.loc)
             mod = widen(mod, objs,
                         f"store through an unbounded pointer in '{fn.name}'")
         elif isinstance(instr, Call):

@@ -329,7 +329,7 @@ class InstructionSelector:
                 self.emit("sxth", dst, [src])
             else:
                 self.emit("mov", dst, [src])
-        else:  # trunc: the store/extend consumers mask as needed
+        else:  # trunc (the store/extend consumers mask as needed), inttoptr
             self.emit("mov", dst, [src])
 
     def emit_compare(self, icmp: ICmp) -> None:

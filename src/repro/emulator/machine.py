@@ -73,14 +73,12 @@ _ALU = {
 
 
 # ---------------------------------------------------------------------------
-# Predecoded instruction stream (the emulator fast path)
+# Predecoded straight-line runs (the emulator fast path)
 #
-# ``Machine.run`` dominates every evaluation: each emulated instruction
-# used to pay for attribute walks (``instr.opcode``, ``instr.ops``),
-# string-compare dispatch, a ``CostModel.cost_of`` call, and
-# ``isinstance`` checks on every operand.  All of that is resolvable
-# once per program: ``_decode_program`` turns each ``MInstr`` into a
-# flat tuple ``(kind, cost, ...)`` with
+# ``Machine.run`` dominates every evaluation, and most of what the
+# reference interpreter does per instruction is resolvable once per
+# program.  ``_decode_program`` turns each ``MInstr`` into a flat tuple
+# ``(kind, cost, ..., pc, pre)`` with
 #
 # * an integer opcode *kind* specialised on operand shapes (register vs
 #   immediate, base register vs stack slot),
@@ -88,10 +86,25 @@ _ALU = {
 #   carry the taken cost including the pipeline refill),
 # * operands reduced to physical register names, pre-masked immediates,
 #   pre-folded stack offsets, resolved condition-code predicates, and
-#   branch targets biased by -1 (the main loop always increments pc).
+#   branch targets biased by -1 (the terminator step always increments
+#   pc),
+# * its own ``pc`` and ``pre``, the summed base cost of every instruction
+#   before it, so the cycles between two instructions of a run are the
+#   difference of their ``pre``.
 #
-# The decoded stream is cached on the Program keyed by the cost model,
-# so repeated Machine constructions over one program decode once.
+# A *run* is the straight-line stretch from a pc up to and including the
+# next terminator: a branch, call, return, checkpoint, ``cpsid``/``cpsie``
+# or undecodable instruction (``K_ENDS_RUN`` and above).  Its body only
+# reads and writes registers and memory, so the checks the reference
+# makes around every instruction (instruction limit, power-on budget, JIT
+# threshold, timer interrupt) see nothing but the counters the body
+# advances.  A run whose *span*, the most cycles it can add, keeps below
+# all four limits cannot meet one inside, and ``Machine._run_decoded``
+# executes it with the counters advanced once; any other run steps one
+# instruction at a time through the same handlers.  ``_straight_run``
+# builds the run at a pc on first entry; the decoded stream and the run
+# table are cached on the Program keyed by the cost model, so repeated
+# Machine constructions over one program share both.
 # ---------------------------------------------------------------------------
 
 K_LDR4, K_LDR1, K_LDR2 = 0, 1, 2
@@ -100,23 +113,28 @@ K_STR4_I, K_STR1_I, K_STR2_I = 6, 7, 8
 K_ADD_RR, K_ADD_RI, K_SUB_RR, K_SUB_RI = 9, 10, 11, 12
 K_ALU_RR, K_ALU_RI, K_ALU_IR, K_ALU_II = 13, 14, 15, 16
 K_CMP_RR, K_CMP_RI, K_CMP_IR, K_CMP_II = 17, 18, 19, 20
-K_BCC, K_B = 21, 22
-K_MOV_I, K_MOV_R = 23, 24
-K_BL, K_BX_LR = 25, 26
-K_PUSH, K_POP = 27, 28
-K_SHIFT, K_DIV = 29, 30
-K_CMOV_R, K_CMOV_I = 31, 32
-K_LEA, K_ADDSP = 33, 34
-K_EXT = 35
-K_CKPT = 36
-K_CPSID, K_CPSIE, K_NOP = 37, 38, 39
-K_BAD = 40
+K_MOV_I, K_MOV_R = 21, 22
+K_PUSH, K_POP = 23, 24
+K_SHIFT, K_DIV = 25, 26
+K_CMOV_R, K_CMOV_I = 27, 28
+K_LEA, K_ADDSP = 29, 30
+K_EXT = 31
+K_NOP = 32
+# run terminators
+K_BCC, K_B, K_BL, K_BX_LR = 33, 34, 35, 36
+K_CKPT, K_CPSID, K_CPSIE, K_BAD = 37, 38, 39, 40
+K_ENDS_RUN = K_BCC
 
 _LOAD_KINDS = {"ldr": K_LDR4, "ldrb": K_LDR1, "ldrh": K_LDR2}
 _STORE_KINDS_R = {"str": K_STR4_R, "strb": K_STR1_R, "strh": K_STR2_R}
 _STORE_KINDS_I = {"str": K_STR4_I, "strb": K_STR1_I, "strh": K_STR2_I}
 _SHIFT_IDS = {"lsl": 0, "lsr": 1, "asr": 2}
 _EXT_IDS = {"sxtb": 0, "uxtb": 1, "sxth": 2, "uxth": 3}
+
+#: the limit of a counter that nothing bounds (no supply, no timer)
+_NEVER = 1 << 64
+_READ = WARChecker.READ
+_LOADING_KINDS = (K_LDR4, K_LDR1, K_LDR2, K_POP)
 
 
 def _operand(op):
@@ -135,118 +153,163 @@ def _base_and_offset(base, offset):
     return base.phys, offset  # VReg
 
 
-def _decode_program(program: Program, costs: CostModel) -> List[tuple]:
-    decoded = []
+def _decode(instr, program: Program, costs: CostModel) -> tuple:
+    """``(kind, cost, operands...)`` of one instruction."""
+    op = instr.opcode
     refill = costs.pipeline_refill
-    for instr in program.instrs:
-        op = instr.opcode
-        try:
-            cost = costs.cost_of(instr)
-        except KeyError:
-            # Unknown opcode: keep the reference behaviour of failing
-            # only if the instruction is actually executed.
-            decoded.append((K_BAD, 0, instr))
-            continue
-        ops = instr.ops
-        if op in ("ldr", "ldrb", "ldrh"):
-            base, off = _base_and_offset(ops[0], ops[1])
-            entry = (_LOAD_KINDS[op], cost, instr.dst.phys, base, off)
-        elif op in ("str", "strb", "strh"):
-            imm, src = _operand(ops[0])
-            base, off = _base_and_offset(ops[1], ops[2])
-            kinds = _STORE_KINDS_I if imm else _STORE_KINDS_R
-            entry = (kinds[op], cost, src, base, off)
-        elif op in ("add", "sub"):
-            a_imm, a = _operand(ops[0])
-            b_imm, b = _operand(ops[1])
-            if not a_imm:
-                if b_imm:
-                    kind = K_ADD_RI if op == "add" else K_SUB_RI
-                else:
-                    kind = K_ADD_RR if op == "add" else K_SUB_RR
-                entry = (kind, cost, instr.dst.phys, a, b)
-            else:  # immediate left operand: fall back to the generic form
-                kind = K_ALU_II if b_imm else K_ALU_IR
-                entry = (kind, cost, instr.dst.phys, a, b, _ALU[op])
-        elif op in ("mul", "and", "orr", "eor"):
-            a_imm, a = _operand(ops[0])
-            b_imm, b = _operand(ops[1])
-            kind = {
-                (False, False): K_ALU_RR, (False, True): K_ALU_RI,
-                (True, False): K_ALU_IR, (True, True): K_ALU_II,
-            }[(a_imm, b_imm)]
-            entry = (kind, cost, instr.dst.phys, a, b, _ALU[op])
-        elif op == "cmp":
-            a_imm, a = _operand(ops[0])
-            b_imm, b = _operand(ops[1])
-            kind = {
-                (False, False): K_CMP_RR, (False, True): K_CMP_RI,
-                (True, False): K_CMP_IR, (True, True): K_CMP_II,
-            }[(a_imm, b_imm)]
-            entry = (kind, cost, a, b)
-        elif op == "bcc":
-            entry = (K_BCC, cost, _COND[instr.cond], ops[0] - 1, cost + refill)
-        elif op == "b":
-            entry = (K_B, cost, ops[0] - 1, cost + refill)
-        elif op == "mov":
-            imm, src = _operand(ops[0])
-            entry = (K_MOV_I if imm else K_MOV_R, cost, instr.dst.phys, src)
-        elif op == "adr":
-            # the encoder resolved the address to an absolute immediate
-            entry = (K_MOV_I, cost, instr.dst.phys, ops[0] & M32)
-        elif op == "bl":
-            callee = program.function_of_index[ops[0]]
-            entry = (K_BL, cost, ops[0] - 1, callee, cost + refill)
-        elif op == "bx_lr":
-            entry = (K_BX_LR, cost, cost + refill)
-        elif op == "push":
-            entry = (K_PUSH, cost, tuple(instr.regs))
-        elif op == "pop":
-            entry = (K_POP, cost, tuple(instr.regs))
-        elif op in ("lsl", "lsr", "asr"):
-            a_imm, a = _operand(ops[0])
-            b_imm, b = _operand(ops[1])
-            entry = (K_SHIFT, cost, _SHIFT_IDS[op], a_imm, a, b_imm, b,
-                     instr.dst.phys)
-        elif op in ("udiv", "sdiv"):
-            a_imm, a = _operand(ops[0])
-            b_imm, b = _operand(ops[1])
-            entry = (K_DIV, cost, op == "sdiv", a_imm, a, b_imm, b,
-                     instr.dst.phys)
-        elif op == "cmov":
-            imm, src = _operand(ops[0])
-            entry = (K_CMOV_I if imm else K_CMOV_R, cost, _COND[instr.cond],
-                     instr.dst.phys, src)
-        elif op == "lea":
-            entry = (K_LEA, cost, instr.dst.phys, ops[0].offset)
-        elif op == "addsp":
-            entry = (K_ADDSP, cost, ops[0])
-        elif op == "subsp":
-            entry = (K_ADDSP, cost, -ops[0])
-        elif op in ("sxtb", "uxtb", "sxth", "uxth"):
-            imm, src = _operand(ops[0])
-            entry = (K_EXT, cost, _EXT_IDS[op], instr.dst.phys, imm, src)
-        elif op == "checkpoint":
-            entry = (K_CKPT, cost, instr.cause)
-        elif op == "cpsid":
-            entry = (K_CPSID, cost)
-        elif op == "cpsie":
-            entry = (K_CPSIE, cost)
-        elif op == "nop":
-            entry = (K_NOP, cost)
-        else:
-            entry = (K_BAD, cost, instr)
-        decoded.append(entry)
+    try:
+        cost = costs.cost_of(instr)
+    except KeyError:
+        # Unknown opcode: keep the reference behaviour of failing
+        # only if the instruction is actually executed.
+        return (K_BAD, 0, instr)
+    ops = instr.ops
+    if op in ("ldr", "ldrb", "ldrh"):
+        base, off = _base_and_offset(ops[0], ops[1])
+        return (_LOAD_KINDS[op], cost, instr.dst.phys, base, off)
+    if op in ("str", "strb", "strh"):
+        imm, src = _operand(ops[0])
+        base, off = _base_and_offset(ops[1], ops[2])
+        kinds = _STORE_KINDS_I if imm else _STORE_KINDS_R
+        return (kinds[op], cost, src, base, off)
+    if op in ("add", "sub"):
+        a_imm, a = _operand(ops[0])
+        b_imm, b = _operand(ops[1])
+        if not a_imm:
+            if b_imm:
+                kind = K_ADD_RI if op == "add" else K_SUB_RI
+            else:
+                kind = K_ADD_RR if op == "add" else K_SUB_RR
+            return (kind, cost, instr.dst.phys, a, b)
+        # immediate left operand: fall back to the generic form
+        kind = K_ALU_II if b_imm else K_ALU_IR
+        return (kind, cost, instr.dst.phys, a, b, _ALU[op])
+    if op in ("mul", "and", "orr", "eor"):
+        a_imm, a = _operand(ops[0])
+        b_imm, b = _operand(ops[1])
+        kind = {
+            (False, False): K_ALU_RR, (False, True): K_ALU_RI,
+            (True, False): K_ALU_IR, (True, True): K_ALU_II,
+        }[(a_imm, b_imm)]
+        return (kind, cost, instr.dst.phys, a, b, _ALU[op])
+    if op == "cmp":
+        a_imm, a = _operand(ops[0])
+        b_imm, b = _operand(ops[1])
+        kind = {
+            (False, False): K_CMP_RR, (False, True): K_CMP_RI,
+            (True, False): K_CMP_IR, (True, True): K_CMP_II,
+        }[(a_imm, b_imm)]
+        return (kind, cost, a, b)
+    if op == "bcc":
+        return (K_BCC, cost, _COND[instr.cond], ops[0] - 1, cost + refill)
+    if op == "b":
+        return (K_B, cost, ops[0] - 1, cost + refill)
+    if op == "mov":
+        imm, src = _operand(ops[0])
+        return (K_MOV_I if imm else K_MOV_R, cost, instr.dst.phys, src)
+    if op == "adr":
+        # the encoder resolved the address to an absolute immediate
+        return (K_MOV_I, cost, instr.dst.phys, ops[0] & M32)
+    if op == "bl":
+        callee = program.function_of_index[ops[0]]
+        return (K_BL, cost, ops[0] - 1, callee, cost + refill)
+    if op == "bx_lr":
+        return (K_BX_LR, cost, cost + refill)
+    if op == "push":
+        return (K_PUSH, cost, tuple(instr.regs))
+    if op == "pop":
+        return (K_POP, cost, tuple(instr.regs))
+    if op in ("lsl", "lsr", "asr"):
+        a_imm, a = _operand(ops[0])
+        b_imm, b = _operand(ops[1])
+        return (K_SHIFT, cost, _SHIFT_IDS[op], a_imm, a, b_imm, b,
+                instr.dst.phys)
+    if op in ("udiv", "sdiv"):
+        a_imm, a = _operand(ops[0])
+        b_imm, b = _operand(ops[1])
+        return (K_DIV, cost, op == "sdiv", a_imm, a, b_imm, b,
+                instr.dst.phys)
+    if op == "cmov":
+        imm, src = _operand(ops[0])
+        return (K_CMOV_I if imm else K_CMOV_R, cost, _COND[instr.cond],
+                instr.dst.phys, src)
+    if op == "lea":
+        return (K_LEA, cost, instr.dst.phys, ops[0].offset)
+    if op == "addsp":
+        return (K_ADDSP, cost, ops[0])
+    if op == "subsp":
+        return (K_ADDSP, cost, -ops[0])
+    if op in ("sxtb", "uxtb", "sxth", "uxth"):
+        imm, src = _operand(ops[0])
+        return (K_EXT, cost, _EXT_IDS[op], instr.dst.phys, imm, src)
+    if op == "checkpoint":
+        return (K_CKPT, cost, instr.cause)
+    if op == "cpsid":
+        return (K_CPSID, cost)
+    if op == "cpsie":
+        return (K_CPSIE, cost)
+    if op == "nop":
+        return (K_NOP, cost)
+    return (K_BAD, cost, instr)
+
+
+def _decode_program(program: Program, costs: CostModel) -> List[tuple]:
+    """The decoded stream, each entry ending in its ``(pc, pre)``, and a
+    last entry that refuses to run off the end of the program."""
+    decoded = []
+    pre = 0
+    for pc, instr in enumerate(program.instrs):
+        entry = _decode(instr, program, costs)
+        decoded.append(entry + (pc, pre))
+        pre += entry[1]
+    decoded.append((K_BAD, 0, "the end of the program", len(decoded), pre))
     return decoded
 
 
-def _decoded_for(program: Program, costs: CostModel) -> List[tuple]:
+def _straight_run(decoded: List[tuple], pc: int, costs: CostModel) -> tuple:
+    """``(body, body cycles, span, length)`` of the run starting at
+    ``pc``: the body's entries up to its terminator, their summed cost,
+    the most cycles the whole run can add to the clock (a taken branch
+    pays the refill, a ``cpsie`` may fire a pending interrupt) and its
+    instruction count, terminator included."""
+    if pc >= len(decoded):
+        raise EmulationError(f"no instruction at pc {pc}")
+    end = pc
+    while decoded[end][0] < K_ENDS_RUN:
+        end += 1
+    term = decoded[end]
+    kind = term[0]
+    if kind <= K_BX_LR:
+        extra = costs.pipeline_refill
+    elif kind == K_CPSIE:
+        extra = (costs.interrupt_entry_cycles + costs.isr_cycles
+                 + costs.interrupt_exit_cycles)
+    else:
+        extra = 0
+    body_cycles = term[-1] - decoded[pc][-1]
+    return (tuple(decoded[pc:end]), body_cycles,
+            body_cycles + term[1] + extra, end - pc + 1)
+
+
+def _period_cap(budget: Optional[int], jit_threshold: Optional[int],
+                jit_fired: bool) -> int:
+    """The power-on time a run may reach with neither a power failure nor
+    a JIT checkpoint inside it."""
+    if budget is None:
+        return _NEVER
+    if jit_threshold is None or jit_fired:
+        return budget
+    return min(budget, budget - jit_threshold - 1)
+
+
+def _decoded_for(program: Program, costs: CostModel) -> Tuple[list, dict]:
+    """The program's decoded stream and run table under ``costs``."""
     cached = getattr(program, "_decoded_cache", None)
     if cached is not None and cached[0] is costs:
         return cached[1]
-    decoded = _decode_program(program, costs)
-    program._decoded_cache = (costs, decoded)
-    return decoded
+    tables = (_decode_program(program, costs), {})
+    program._decoded_cache = (costs, tables)
+    return tables
 
 
 class Machine:
@@ -315,8 +378,8 @@ class Machine:
         """An independent copy of this machine, to be resumed on its own.
 
         Memory, registers, statistics, the WAR checker and the event
-        trace are copied; the program, its decoded stream and the
-        immutable checkpoint snapshots are shared."""
+        trace are copied; the program, its decoded stream and run table
+        and the immutable checkpoint snapshots are shared."""
         twin = copy.copy(self)
         twin.memory = bytearray(self.memory)
         twin.regs = dict(self.regs)
@@ -491,6 +554,16 @@ class Machine:
             budget = next(on_iter)
         return on_iter, budget
 
+    def _park(self, icount, cycles, pc, cmp_a, cmp_b, region_cycles,
+              next_interrupt) -> None:
+        """Write the fast loop's local copies of the machine state back."""
+        self.stats.instructions = icount
+        self.stats.cycles = cycles
+        self.pc = pc
+        self.last_cmp = (cmp_a, cmp_b)
+        self.region_cycles = region_cycles
+        self._next_interrupt = next_interrupt
+
     def _run_decoded(
         self,
         power: Optional[PowerSupply],
@@ -498,22 +571,30 @@ class Machine:
         pause_before_failure: bool = False,
         stop_after_commits: Optional[int] = None,
     ) -> ExecutionStats:
-        """The fast path: interpret the predecoded stream.
+        """The fast path: execute the predecoded stream run by run.
 
-        Byte-for-byte equivalent to :meth:`_run_reference` in every
-        observable (``ExecutionStats``, memory, registers, WAR checking,
-        interrupts, JIT checkpoints); hot state lives in locals and is
-        synchronised with the instance on every slow-path event.  A stop
-        lowers ``max_instructions`` to the current count, so it takes
-        effect at the top of the next iteration through the existing
-        limit test, after the checkpoint instruction has completed.
+        Equivalent to :meth:`_run_reference` in every observable
+        (``ExecutionStats``, memory, registers, WAR violations, event
+        trace, interrupts, JIT checkpoints, exceptions and the counters
+        they leave).  Hot state lives in locals and is written back on
+        every slow-path event.  A run whose span fits below the
+        instruction limit, the power-on budget (less the JIT threshold
+        while the comparator is armed) and the next timer interrupt
+        executes its body with the counters updated once, then its
+        terminator; no check between its instructions could fire.  Any
+        other run steps one instruction: the reference's checks before
+        and after it, through the same handlers.  A stop lowers
+        ``max_instructions`` to the current count, so the next run steps
+        and returns at its limit test, after the checkpoint has
+        completed.
         """
-        decoded = self._decoded
+        decoded, runs = self._decoded
         costs = self.costs
         stats = self.stats
         regs = self.regs
         memory = self.memory
         war = self.war
+        mark = war.first.setdefault if war is not None else None
         trace = self._trace
         cc = stats.call_counts
 
@@ -528,400 +609,401 @@ class Machine:
         jit_fired = self._jit_fired
         interrupt_interval = self.interrupt_interval
         next_interrupt = self._next_interrupt
+        irq_at = _NEVER if next_interrupt is None else next_interrupt
         checkpoint_cycles = costs.checkpoint_cycles
 
         on_iter, budget = self._power_periods(power)
         if jit_enabled and budget is not None and budget <= jit_threshold:
             jit_fired = True  # collapsed before the comparator
             self._jit_fired = True
+        period_cap = _period_cap(budget, jit_threshold, jit_fired)
         period_used = self._period_used
         stopping = False
 
         addr = 0
         try:
             while True:
-                if icount >= max_instructions:
-                    stats.instructions = icount
-                    stats.cycles = cycles
-                    self.pc = pc
-                    self.last_cmp = (cmp_a, cmp_b)
-                    self.region_cycles = region_cycles
-                    self._next_interrupt = next_interrupt
-                    self._period_used = period_used
-                    if stopping:
-                        return stats
-                    raise EmulationLimit(
-                        f"exceeded {max_instructions} instructions "
-                        f"({stats.summary()})"
-                    )
-                d = decoded[pc]
-                cost = d[1]
-
-                if budget is not None and period_used + cost > budget:
-                    if pause_before_failure:
-                        stats.instructions = icount
-                        stats.cycles = cycles
-                        self.pc = pc
-                        self.last_cmp = (cmp_a, cmp_b)
-                        self.region_cycles = region_cycles
-                        self._next_interrupt = next_interrupt
+                run = runs.get(pc)
+                if run is None:
+                    run = runs[pc] = _straight_run(decoded, pc, costs)
+                body, body_cycles, span, length = run
+                stepping = not (icount + length <= max_instructions
+                                and period_used + span <= period_cap
+                                and cycles + span < irq_at)
+                if stepping:
+                    # a boundary may fall inside this run: step one
+                    # instruction under the reference's checks
+                    if icount >= max_instructions:
+                        self._park(icount, cycles, pc, cmp_a, cmp_b,
+                                   region_cycles, next_interrupt)
                         self._period_used = period_used
-                        return stats
-                    # ---- power failure -----------------------------------
-                    stats.instructions = icount
-                    stats.cycles = cycles
-                    stats.power_failures += 1
-                    stats.reexecuted_cycles += region_cycles
-                    self._failures_since_checkpoint += 1
-                    if self._failures_since_checkpoint > 1000:
-                        self.pc = pc
-                        self.last_cmp = (cmp_a, cmp_b)
-                        self.region_cycles = region_cycles
-                        self._next_interrupt = next_interrupt
-                        raise NoForwardProgress(
-                            "the idempotent region does not fit the power-on "
-                            f"window ({stats.summary()})"
+                        if stopping:
+                            return stats
+                        raise EmulationLimit(
+                            f"exceeded {max_instructions} instructions "
+                            f"({stats.summary()})"
                         )
-                    boot = costs.boot_cycles + costs.restore_cycles
-                    dead_periods = 0
-                    budget = next(on_iter)
-                    while budget < boot:
-                        dead_periods += 1
+                    if budget is not None and period_used + decoded[pc][1] > budget:
+                        if pause_before_failure:
+                            self._park(icount, cycles, pc, cmp_a, cmp_b,
+                                       region_cycles, next_interrupt)
+                            self._period_used = period_used
+                            return stats
+                        # ---- power failure -----------------------------
+                        stats.instructions = icount
+                        stats.cycles = cycles
                         stats.power_failures += 1
-                        if dead_periods > 10_000:
-                            self.pc = pc
-                            self.last_cmp = (cmp_a, cmp_b)
-                            self.region_cycles = region_cycles
-                            self._next_interrupt = next_interrupt
+                        stats.reexecuted_cycles += region_cycles
+                        self._failures_since_checkpoint += 1
+                        if self._failures_since_checkpoint > 1000:
                             raise NoForwardProgress(
-                                "power-on periods shorter than boot + restore"
+                                "the idempotent region does not fit the "
+                                f"power-on window ({stats.summary()})"
                             )
+                        boot = costs.boot_cycles + costs.restore_cycles
+                        dead_periods = 0
                         budget = next(on_iter)
-                    period_used = boot
-                    cycles += boot
-                    stats.cycles = cycles
-                    stats.boot_cycles += boot
-                    jit_fired = jit_enabled and budget - boot <= jit_threshold
-                    self._jit_fired = jit_fired
-                    self._restore_checkpoint()
-                    regs = self.regs
-                    pc = self.pc
-                    cmp_a, cmp_b = self.last_cmp
-                    region_cycles = 0
-                    continue
+                        while budget < boot:
+                            dead_periods += 1
+                            stats.power_failures += 1
+                            if dead_periods > 10_000:
+                                raise NoForwardProgress(
+                                    "power-on periods shorter than boot + "
+                                    "restore"
+                                )
+                            budget = next(on_iter)
+                        period_used = boot
+                        cycles += boot
+                        stats.cycles = cycles
+                        stats.boot_cycles += boot
+                        # a too-short period collapses before the comparator
+                        jit_fired = jit_enabled and budget - boot <= jit_threshold
+                        self._jit_fired = jit_fired
+                        period_cap = _period_cap(budget, jit_threshold, jit_fired)
+                        self._restore_checkpoint()
+                        regs = self.regs
+                        pc = self.pc
+                        cmp_a, cmp_b = self.last_cmp
+                        region_cycles = 0
+                        continue
+                    if body:
+                        body = body[:1]
+                        body_cycles = body[0][1]
 
-                icount += 1
-                k = d[0]
+                if body:
+                    # dispatch ordered by measured dynamic frequency across
+                    # the benchsuite (see docs/PERFORMANCE.md)
+                    try:
+                        for d in body:
+                            k = d[0]
+                            if k == K_MOV_R:
+                                regs[d[2]] = regs[d[3]]
+                            elif k == K_ADD_RR:
+                                regs[d[2]] = (regs[d[3]] + regs[d[4]]) & M32
+                            elif k == K_LDR4:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                regs[d[2]] = _U32(memory, addr)[0]
+                                if mark is not None:
+                                    mark(addr, _READ)
+                                    mark(addr + 1, _READ)
+                                    mark(addr + 2, _READ)
+                                    mark(addr + 3, _READ)
+                            elif k == K_MOV_I:
+                                regs[d[2]] = d[3]
+                            elif k == K_SHIFT:
+                                a = d[4] if d[3] else regs[d[4]]
+                                amount = (d[6] if d[5] else regs[d[6]]) & 0xFF
+                                mode = d[2]
+                                if mode == 0:  # lsl
+                                    result = (a << amount) & M32 if amount < 32 else 0
+                                elif mode == 1:  # lsr
+                                    result = a >> amount if amount < 32 else 0
+                                else:  # asr
+                                    result = (_signed(a) >> amount) & M32 if amount < 32 else (
+                                        M32 if _signed(a) < 0 else 0
+                                    )
+                                regs[d[7]] = result
+                            elif k == K_ALU_RR:
+                                regs[d[2]] = d[5](regs[d[3]], regs[d[4]]) & M32
+                            elif k == K_EXT:
+                                v = d[5] if d[4] else regs[d[5]]
+                                mode = d[2]
+                                if mode == 0:  # sxtb
+                                    v &= 0xFF
+                                    regs[d[3]] = (v - 256 if v >= 128 else v) & M32
+                                elif mode == 1:  # uxtb
+                                    regs[d[3]] = v & 0xFF
+                                elif mode == 2:  # sxth
+                                    v &= 0xFFFF
+                                    regs[d[3]] = (v - 65536 if v >= 32768 else v) & M32
+                                else:  # uxth
+                                    regs[d[3]] = v & 0xFFFF
+                            elif k == K_ADD_RI:
+                                regs[d[2]] = (regs[d[3]] + d[4]) & M32
+                            elif k == K_CMP_RI:
+                                cmp_a = regs[d[2]]
+                                cmp_b = d[3]
+                            elif k == K_STR4_R:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                if war is None:
+                                    _P32(memory, addr, regs[d[2]])
+                                else:
+                                    self.pc = d[-2]
+                                    if trace is not None:
+                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    self.write_mem(addr, 4, regs[d[2]])
+                            elif k == K_LDR1:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                regs[d[2]] = memory[addr]
+                                if mark is not None:
+                                    mark(addr, _READ)
+                            elif k == K_SUB_RI:
+                                regs[d[2]] = (regs[d[3]] - d[4]) & M32
+                            elif k == K_STR1_R:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                if war is None:
+                                    memory[addr] = regs[d[2]] & 0xFF
+                                else:
+                                    self.pc = d[-2]
+                                    if trace is not None:
+                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    self.write_mem(addr, 1, regs[d[2]])
+                            elif k == K_CMP_RR:
+                                cmp_a = regs[d[2]]
+                                cmp_b = regs[d[3]]
+                            elif k == K_ALU_RI:
+                                regs[d[2]] = d[5](regs[d[3]], d[4]) & M32
+                            elif k == K_SUB_RR:
+                                regs[d[2]] = (regs[d[3]] - regs[d[4]]) & M32
+                            elif k == K_LDR2:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                regs[d[2]] = _U16(memory, addr)[0]
+                                if mark is not None:
+                                    mark(addr, _READ)
+                                    mark(addr + 1, _READ)
+                            elif k == K_STR2_R:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                if war is None:
+                                    _P16(memory, addr, regs[d[2]] & 0xFFFF)
+                                else:
+                                    self.pc = d[-2]
+                                    if trace is not None:
+                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    self.write_mem(addr, 2, regs[d[2]])
+                            elif k == K_PUSH:
+                                names = d[2]
+                                sp = (regs["sp"] - 4 * len(names)) & M32
+                                regs["sp"] = sp
+                                addr = sp
+                                if war is None:
+                                    for name in names:
+                                        _P32(memory, addr, regs[name])
+                                        addr += 4
+                                else:
+                                    self.pc = d[-2]
+                                    if trace is not None:
+                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    for name in names:
+                                        self.write_mem(addr, 4, regs[name])
+                                        addr += 4
+                            elif k == K_POP:
+                                names = d[2]
+                                sp = regs["sp"]
+                                addr = sp
+                                for name in names:
+                                    regs[name] = _U32(memory, addr)[0]
+                                    if mark is not None:
+                                        mark(addr, _READ)
+                                        mark(addr + 1, _READ)
+                                        mark(addr + 2, _READ)
+                                        mark(addr + 3, _READ)
+                                    addr += 4
+                                regs["sp"] = (sp + 4 * len(names)) & M32
+                            elif k == K_DIV:
+                                a = d[4] if d[3] else regs[d[4]]
+                                b = d[6] if d[5] else regs[d[6]]
+                                if b == 0:
+                                    result = 0  # ARM semantics: division by zero yields 0
+                                elif not d[2]:  # udiv
+                                    result = a // b
+                                else:
+                                    sa, sb = _signed(a), _signed(b)
+                                    result = abs(sa) // abs(sb)
+                                    if (sa < 0) != (sb < 0):
+                                        result = -result
+                                regs[d[7]] = result & M32
+                            elif k == K_CMOV_R:
+                                if d[2](cmp_a, cmp_b):
+                                    regs[d[3]] = regs[d[4]]
+                            elif k == K_CMOV_I:
+                                if d[2](cmp_a, cmp_b):
+                                    regs[d[3]] = d[4]
+                            elif k == K_LEA:
+                                regs[d[2]] = (regs["sp"] + d[3]) & M32
+                            elif k == K_ADDSP:
+                                regs["sp"] = (regs["sp"] + d[2]) & M32
+                            elif k == K_STR4_I:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                if war is None:
+                                    _P32(memory, addr, d[2])
+                                else:
+                                    self.pc = d[-2]
+                                    if trace is not None:
+                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    self.write_mem(addr, 4, d[2])
+                            elif k == K_STR1_I:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                if war is None:
+                                    memory[addr] = d[2] & 0xFF
+                                else:
+                                    self.pc = d[-2]
+                                    if trace is not None:
+                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    self.write_mem(addr, 1, d[2])
+                            elif k == K_STR2_I:
+                                addr = (regs[d[3]] + d[4]) & M32
+                                if war is None:
+                                    _P16(memory, addr, d[2] & 0xFFFF)
+                                else:
+                                    self.pc = d[-2]
+                                    if trace is not None:
+                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    self.write_mem(addr, 2, d[2])
+                            elif k == K_CMP_IR:
+                                cmp_a = d[2]
+                                cmp_b = regs[d[3]]
+                            elif k == K_CMP_II:
+                                cmp_a = d[2]
+                                cmp_b = d[3]
+                            elif k == K_ALU_IR:
+                                regs[d[2]] = d[5](d[3], regs[d[4]]) & M32
+                            elif k == K_ALU_II:
+                                regs[d[2]] = d[5](d[3], d[4]) & M32
+                            # K_NOP: nothing to do
+                    except (IndexError, struct.error, EmulationError) as exc:
+                        # bring the locals to the faulting instruction:
+                        # counted, its own cycles not yet charged
+                        off = d[-1] - body[0][-1]
+                        icount += d[-2] - pc + 1
+                        cycles += off
+                        region_cycles += off
+                        pc = d[-2]
+                        if isinstance(exc, EmulationError):
+                            raise
+                        # the fast accessors bounds-check by construction:
+                        # bytearray indexing and struct packing reject any
+                        # access past the 1 MB address space
+                        access = "load" if d[0] in _LOADING_KINDS else "store"
+                        raise EmulationError(
+                            f"{access} out of bounds: 0x{addr:x}") from None
+                    count = len(body)
+                    icount += count
+                    cycles += body_cycles
+                    region_cycles += body_cycles
+                    period_used += body_cycles
+                    pc += count
 
-                # dispatch ordered by measured dynamic frequency across the
-                # benchsuite (see docs/PERFORMANCE.md)
-                if k == K_MOV_R:
-                    regs[d[2]] = regs[d[3]]
-                elif k == K_ADD_RR:
-                    regs[d[2]] = (regs[d[3]] + regs[d[4]]) & M32
-                elif k == K_LDR4:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        regs[d[2]] = _U32(memory, addr)[0]
-                    else:
-                        regs[d[2]] = self.read_mem(addr, 4)
-                elif k == K_MOV_I:
-                    regs[d[2]] = d[3]
-                elif k == K_SHIFT:
-                    a = d[4] if d[3] else regs[d[4]]
-                    amount = (d[6] if d[5] else regs[d[6]]) & 0xFF
-                    mode = d[2]
-                    if mode == 0:  # lsl
-                        result = (a << amount) & M32 if amount < 32 else 0
-                    elif mode == 1:  # lsr
-                        result = a >> amount if amount < 32 else 0
-                    else:  # asr
-                        result = (_signed(a) >> amount) & M32 if amount < 32 else (
-                            M32 if _signed(a) < 0 else 0
-                        )
-                    regs[d[7]] = result
-                elif k == K_ALU_RR:
-                    regs[d[2]] = d[5](regs[d[3]], regs[d[4]]) & M32
-                elif k == K_EXT:
-                    v = d[5] if d[4] else regs[d[5]]
-                    mode = d[2]
-                    if mode == 0:  # sxtb
-                        v &= 0xFF
-                        regs[d[3]] = (v - 256 if v >= 128 else v) & M32
-                    elif mode == 1:  # uxtb
-                        regs[d[3]] = v & 0xFF
-                    elif mode == 2:  # sxth
-                        v &= 0xFFFF
-                        regs[d[3]] = (v - 65536 if v >= 32768 else v) & M32
-                    else:  # uxth
-                        regs[d[3]] = v & 0xFFFF
-                elif k == K_BCC:
-                    if d[2](cmp_a, cmp_b):
-                        pc = d[3]
+                if not (stepping and body):
+                    # the run's terminator
+                    d = decoded[pc]
+                    cost = d[1]
+                    icount += 1
+                    k = d[0]
+                    if k == K_BCC:
+                        if d[2](cmp_a, cmp_b):
+                            pc = d[3]
+                            cost = d[4]
+                    elif k == K_B:
+                        pc = d[2]
+                        cost = d[3]
+                    elif k == K_BL:
+                        regs["lr"] = (pc + 1) & M32
+                        callee = d[3]
+                        cc[callee] = cc.get(callee, 0) + 1
+                        pc = d[2]
                         cost = d[4]
-                elif k == K_ADD_RI:
-                    regs[d[2]] = (regs[d[3]] + d[4]) & M32
-                elif k == K_CMP_RI:
-                    cmp_a = regs[d[2]]
-                    cmp_b = d[3]
-                elif k == K_B:
-                    pc = d[2]
-                    cost = d[3]
-                elif k == K_STR4_R:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        _P32(memory, addr, regs[d[2]])
-                    else:
-                        self.pc = pc
+                    elif k == K_BX_LR:
+                        target = regs["lr"]
+                        if target == halt_sentinel:
+                            cycles += cost
+                            region_cycles += cost
+                            stats.halted = True
+                            stats.final_region_cycles = region_cycles
+                            self._park(icount, cycles, pc, cmp_a, cmp_b,
+                                       region_cycles, next_interrupt)
+                            return stats
+                        pc = target - 1
+                        cost = d[2]
+                    elif k == K_CKPT:
+                        self._park(icount, cycles, pc, cmp_a, cmp_b,
+                                   region_cycles, next_interrupt)
+                        self._take_checkpoint(d[2])
+                        region_cycles = 0
+                        if stats.checkpoints == stop_after_commits:
+                            stopping = True
+                            max_instructions = icount
+                    elif k == K_CPSID:
+                        self.interrupts_enabled = False
                         if trace is not None:
-                            stats.cycles = cycles
-                        self.write_mem(addr, 4, regs[d[2]])
-                elif k == K_LDR1:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        regs[d[2]] = memory[addr]
-                    else:
-                        regs[d[2]] = self.read_mem(addr, 1)
-                elif k == K_SUB_RI:
-                    regs[d[2]] = (regs[d[3]] - d[4]) & M32
-                elif k == K_STR1_R:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        memory[addr] = regs[d[2]] & 0xFF
-                    else:
-                        self.pc = pc
+                            trace.record("mask", cycles, pc)
+                    elif k == K_CPSIE:
+                        self.interrupts_enabled = True
                         if trace is not None:
-                            stats.cycles = cycles
-                        self.write_mem(addr, 1, regs[d[2]])
-                elif k == K_CMP_RR:
-                    cmp_a = regs[d[2]]
-                    cmp_b = regs[d[3]]
-                elif k == K_ALU_RI:
-                    regs[d[2]] = d[5](regs[d[3]], d[4]) & M32
-                elif k == K_SUB_RR:
-                    regs[d[2]] = (regs[d[3]] - regs[d[4]]) & M32
-                elif k == K_LDR2:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        regs[d[2]] = _U16(memory, addr)[0]
+                            trace.record("unmask", cycles, pc)
+                        if self.pending_interrupt:
+                            self.pending_interrupt = False
+                            self._park(icount, cycles, pc, cmp_a, cmp_b,
+                                       region_cycles, next_interrupt)
+                            self._fire_interrupt()
+                            cycles = stats.cycles
+                            region_cycles = self.region_cycles
                     else:
-                        regs[d[2]] = self.read_mem(addr, 2)
-                elif k == K_STR2_R:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        _P16(memory, addr, regs[d[2]] & 0xFFFF)
-                    else:
-                        self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
-                        self.write_mem(addr, 2, regs[d[2]])
-                elif k == K_BL:
-                    regs["lr"] = (pc + 1) & M32
-                    callee = d[3]
-                    cc[callee] = cc.get(callee, 0) + 1
-                    pc = d[2]
-                    cost = d[4]
-                elif k == K_BX_LR:
-                    target = regs["lr"]
-                    if target == halt_sentinel:
-                        cycles += cost
-                        region_cycles += cost
-                        stats.halted = True
-                        stats.final_region_cycles = region_cycles
-                        stats.instructions = icount
-                        stats.cycles = cycles
-                        self.pc = pc
-                        self.last_cmp = (cmp_a, cmp_b)
-                        self.region_cycles = region_cycles
-                        self._next_interrupt = next_interrupt
-                        return stats
-                    pc = target - 1
-                    cost = d[2]
-                elif k == K_PUSH:
-                    names = d[2]
-                    sp = (regs["sp"] - 4 * len(names)) & M32
-                    regs["sp"] = sp
-                    if war is None:
-                        addr = sp
-                        for name in names:
-                            _P32(memory, addr, regs[name])
-                            addr += 4
-                    else:
-                        self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
-                        for i, name in enumerate(names):
-                            self.write_mem(sp + 4 * i, 4, regs[name])
-                elif k == K_POP:
-                    sp = regs["sp"]
-                    if war is None:
-                        addr = sp
-                        for name in d[2]:
-                            regs[name] = _U32(memory, addr)[0]
-                            addr += 4
-                    else:
-                        for i, name in enumerate(d[2]):
-                            regs[name] = self.read_mem(sp + 4 * i, 4)
-                    regs["sp"] = (sp + 4 * len(d[2])) & M32
-                elif k == K_CKPT:
-                    self.pc = pc
-                    self.last_cmp = (cmp_a, cmp_b)
-                    self.region_cycles = region_cycles
-                    stats.cycles = cycles
-                    self._take_checkpoint(d[2])
-                    region_cycles = 0
-                    if stats.checkpoints == stop_after_commits:
-                        stopping = True
-                        max_instructions = icount
-                elif k == K_DIV:
-                    a = d[4] if d[3] else regs[d[4]]
-                    b = d[6] if d[5] else regs[d[6]]
-                    if b == 0:
-                        result = 0  # ARM semantics: division by zero yields 0
-                    elif not d[2]:  # udiv
-                        result = a // b
-                    else:
-                        sa, sb = _signed(a), _signed(b)
-                        result = abs(sa) // abs(sb)
-                        if (sa < 0) != (sb < 0):
-                            result = -result
-                    regs[d[7]] = result & M32
-                elif k == K_CMOV_R:
-                    if d[2](cmp_a, cmp_b):
-                        regs[d[3]] = regs[d[4]]
-                elif k == K_CMOV_I:
-                    if d[2](cmp_a, cmp_b):
-                        regs[d[3]] = d[4]
-                elif k == K_LEA:
-                    regs[d[2]] = (regs["sp"] + d[3]) & M32
-                elif k == K_ADDSP:
-                    regs["sp"] = (regs["sp"] + d[2]) & M32
-                elif k == K_STR4_I:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        _P32(memory, addr, d[2])
-                    else:
-                        self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
-                        self.write_mem(addr, 4, d[2])
-                elif k == K_STR1_I:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        memory[addr] = d[2] & 0xFF
-                    else:
-                        self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
-                        self.write_mem(addr, 1, d[2])
-                elif k == K_STR2_I:
-                    addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        _P16(memory, addr, d[2] & 0xFFFF)
-                    else:
-                        self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
-                        self.write_mem(addr, 2, d[2])
-                elif k == K_CMP_IR:
-                    cmp_a = d[2]
-                    cmp_b = regs[d[3]]
-                elif k == K_CMP_II:
-                    cmp_a = d[2]
-                    cmp_b = d[3]
-                elif k == K_ALU_IR:
-                    regs[d[2]] = d[5](d[3], regs[d[4]]) & M32
-                elif k == K_ALU_II:
-                    regs[d[2]] = d[5](d[3], d[4]) & M32
-                elif k == K_CPSID:
-                    self.interrupts_enabled = False
-                    if trace is not None:
-                        trace.record("mask", cycles, pc)
-                elif k == K_CPSIE:
-                    self.interrupts_enabled = True
-                    if trace is not None:
-                        trace.record("unmask", cycles, pc)
-                    if self.pending_interrupt:
-                        self.pending_interrupt = False
-                        stats.instructions = icount
-                        stats.cycles = cycles
-                        self.pc = pc
-                        self.region_cycles = region_cycles
-                        self._fire_interrupt()
-                        cycles = stats.cycles
-                        region_cycles = self.region_cycles
-                elif k == K_NOP:
-                    pass
-                else:
-                    stats.instructions = icount
-                    stats.cycles = cycles
-                    self.pc = pc
-                    self.last_cmp = (cmp_a, cmp_b)
-                    self.region_cycles = region_cycles
-                    raise EmulationError(f"cannot execute {d[2]!r}")
+                        raise EmulationError(f"cannot execute {d[2]!r}")
+                    cycles += cost
+                    region_cycles += cost
+                    period_used += cost
+                    pc += 1
 
-                cycles += cost
-                region_cycles += cost
-                period_used += cost
-                pc += 1
+                if stepping:
+                    # JIT checkpoint: the comparator sees the capacitor
+                    # voltage crossing the configured threshold; the
+                    # device saves state and sleeps out the remainder of
+                    # the discharge.
+                    if (
+                        jit_enabled
+                        and budget is not None
+                        and not jit_fired
+                        and budget - period_used <= jit_threshold
+                    ):
+                        jit_fired = True
+                        self._jit_fired = True
+                        period_cap = budget
+                        cycles += checkpoint_cycles
+                        region_cycles += checkpoint_cycles
+                        self._park(icount, cycles, pc, cmp_a, cmp_b,
+                                   region_cycles, next_interrupt)
+                        self._take_checkpoint("jit", next_pc=pc)
+                        region_cycles = 0
+                        period_used = budget  # sleep until the brown-out
 
-                # JIT checkpoint: the comparator sees the capacitor voltage
-                # crossing the configured threshold; the device saves state
-                # and sleeps out the remainder of the discharge.
-                if (
-                    jit_enabled
-                    and budget is not None
-                    and not jit_fired
-                    and budget - period_used <= jit_threshold
-                ):
-                    jit_fired = True
-                    self._jit_fired = True
-                    cycles += checkpoint_cycles
-                    region_cycles += checkpoint_cycles
-                    period_used += checkpoint_cycles
-                    self.pc = pc
-                    self.last_cmp = (cmp_a, cmp_b)
-                    self.region_cycles = region_cycles
-                    stats.cycles = cycles
-                    self._take_checkpoint("jit", next_pc=pc)
-                    region_cycles = 0
-                    period_used = budget  # sleep until the brown-out
-
-                # periodic timer interrupt
-                if next_interrupt is not None and cycles >= next_interrupt:
-                    next_interrupt += interrupt_interval
-                    if self.interrupts_enabled:
-                        stats.instructions = icount
-                        stats.cycles = cycles
-                        self.pc = pc
-                        self.region_cycles = region_cycles
-                        self._fire_interrupt()
-                        cycles = stats.cycles
-                        region_cycles = self.region_cycles
-                    else:
-                        self.pending_interrupt = True
+                    # periodic timer interrupt
+                    if cycles >= irq_at:
+                        next_interrupt += interrupt_interval
+                        irq_at = next_interrupt
+                        if self.interrupts_enabled:
+                            self._park(icount, cycles, pc, cmp_a, cmp_b,
+                                       region_cycles, next_interrupt)
+                            self._fire_interrupt()
+                            cycles = stats.cycles
+                            region_cycles = self.region_cycles
+                        else:
+                            self.pending_interrupt = True
         except EmulationError:
-            # raised with locals already synchronised (limit / no-forward-
-            # progress paths) or by the WAR-checking accessors — make sure
-            # the counters reflect the faulting instruction either way
-            stats.instructions = icount
-            stats.cycles = cycles
-            self.pc = pc
-            self.last_cmp = (cmp_a, cmp_b)
-            self.region_cycles = region_cycles
-            self._next_interrupt = next_interrupt
+            # raised with the locals at the faulting instruction; the
+            # power-on time stays as the reference leaves it
+            self._park(icount, cycles, pc, cmp_a, cmp_b, region_cycles,
+                       next_interrupt)
             raise
-        except (IndexError, struct.error):
-            # the fast memory accessors bounds-check by construction:
-            # bytearray indexing / struct packing reject any access past
-            # the 1 MB address space
-            stats.instructions = icount
-            stats.cycles = cycles
-            self.pc = pc
-            self.last_cmp = (cmp_a, cmp_b)
-            self.region_cycles = region_cycles
-            self._next_interrupt = next_interrupt
-            raise EmulationError(f"memory access out of bounds: 0x{addr:x}")
 
     def _run_reference(
         self,

@@ -47,7 +47,7 @@ class WARChecker:
     WRITE = 2
 
     def __init__(self):
-        self._first: Dict[int, int] = {}
+        self.first: Dict[int, int] = {}
         self.violations: List[Violation] = []
         self.region_index = 0
 
@@ -55,13 +55,13 @@ class WARChecker:
         """An independent copy of the checker's region state and
         findings."""
         twin = WARChecker()
-        twin._first = dict(self._first)
+        twin.first = dict(self.first)
         twin.violations = list(self.violations)
         twin.region_index = self.region_index
         return twin
 
     def on_read(self, address: int, size: int) -> None:
-        first = self._first
+        first = self.first
         for a in range(address, address + size):
             if a not in first:
                 first[a] = self.READ
@@ -74,7 +74,7 @@ class WARChecker:
         function: str = "?",
         loc: Optional[SourceLoc] = None,
     ) -> None:
-        first = self._first
+        first = self.first
         for a in range(address, address + size):
             kind = first.get(a)
             if kind is None:
@@ -89,12 +89,12 @@ class WARChecker:
 
     def on_checkpoint(self) -> None:
         """A checkpoint ends the current idempotent region."""
-        self._first.clear()
+        self.first.clear()
         self.region_index += 1
 
     def on_power_restore(self) -> None:
         """Restoration re-enters the region after the last checkpoint."""
-        self._first.clear()
+        self.first.clear()
 
     @property
     def clean(self) -> bool:

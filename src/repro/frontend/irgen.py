@@ -16,12 +16,14 @@ from ..ir import (
     I32,
     VOID,
     ArrayType,
+    Call,
     FunctionType,
     IRBuilder,
     Module,
     PointerType,
     Type,
     Value,
+    is_pointer,
 )
 from ..diagnostics import SourceLoc
 from ..ir.instructions import ICmp
@@ -416,7 +418,7 @@ class IRGenerator:
             self.builder.ret()
             return
         value, ctype = self._gen_expr(stmt.value)
-        self.builder.ret(value)
+        self.builder.ret(self._converted(value, self.return_ctype))
 
     # -- expressions --------------------------------------------------------------
     def _gen_expr(self, expr: ast.Expr) -> Tuple[Value, CType]:
@@ -528,15 +530,21 @@ class IRGenerator:
             value = self.builder.cast("trunc", value, _ir_type(ctype))
             self.builder.store(value, ptr)
             return value32
-        self.builder.store(value, ptr)
+        self.builder.store(self._converted(value, ctype), ptr)
+        return value
+
+    def _converted(self, value: Value, ctype: CType) -> Value:
+        """``value`` as a ``ctype``: an integer used as an address keeps a
+        pointer type, so every load and store addresses memory through a
+        pointer."""
+        if ctype.is_pointer and not is_pointer(value.type):
+            return self.builder.cast("inttoptr", value, _ir_type(ctype))
         return value
 
     def _gen_assign(self, expr: ast.Assign) -> Tuple[Value, CType]:
         ptr, ctype = self._gen_lvalue(expr.target)
         if expr.op == "=":
             value, vtype = self._gen_expr(expr.value)
-            if ctype.is_pointer and vtype.is_integer:
-                pass  # int -> pointer assignment, allowed silently
             self._gen_store(ptr, ctype, value, vtype)
             return self._masked(value, ctype), ctype
         # compound assignment: load, op, store
@@ -715,7 +723,7 @@ class IRGenerator:
         args = []
         for arg_expr, pctype in zip(expr.args, param_ctypes):
             value, vtype = self._gen_expr(arg_expr)
-            args.append(value)
+            args.append(self._converted(value, pctype))
         callee = self.module.get_function(expr.name)
         result = self.builder.call(callee, args, expr.name)
         return result, (ast.INT if ret_ctype.is_void else ret_ctype)
@@ -725,8 +733,9 @@ class IRGenerator:
         target = expr.ctype
         if target.is_integer and target.bits < 32:
             return self._masked(value, target), _promote(target)
-        # pointer <-> int and 32-bit casts are value-preserving here
-        return value, target
+        # int -> pointer is an inttoptr; pointer -> int and 32-bit casts
+        # are value-preserving here
+        return self._converted(value, target), target
 
     def _gen_condition(self, expr: ast.Expr) -> Value:
         """Produce an i1 for a branch condition."""
@@ -775,4 +784,13 @@ def compile_sources(sources: List[str], name: str = "program") -> Module:
     linked.name = name
     for other in modules[1:]:
         linked.link(other)
+    # a program that cannot be linked must not compile, nor certify
+    for function in linked.defined_functions():
+        for instr in function.instructions():
+            if (isinstance(instr, Call)
+                    and linked.functions[instr.callee.name].is_declaration):
+                loc = instr.loc
+                where = f"line {loc.line}: " if loc is not None and loc.known else ""
+                raise CompileError(
+                    f"{where}call to undefined function {instr.callee.name!r}")
     return linked

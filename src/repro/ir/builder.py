@@ -95,7 +95,7 @@ class IRBuilder:
     def select(self, cond: Value, tv: Value, fv: Value, name: str = "") -> Select:
         return self._insert(Select(cond, tv, fv, name))
 
-    def cast(self, op: str, value: Value, to_type: IntType, name: str = "") -> Cast:
+    def cast(self, op: str, value: Value, to_type: Type, name: str = "") -> Cast:
         return self._insert(Cast(op, value, to_type, name))
 
     # -- control flow ---------------------------------------------------------------

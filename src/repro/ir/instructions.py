@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .types import I1, I32, VOID, IntType, PointerType, Type, is_integer, is_pointer
+from .types import I1, I32, VOID, PointerType, Type, is_integer, is_pointer
 from .values import Value
 
 #: Binary integer opcodes.  All operate on i32 (or same-width) operands.
@@ -270,11 +270,15 @@ class GetElementPtr(Instruction):
 
 
 class Cast(Instruction):
-    """Width-changing integer casts: ``zext``, ``sext``, ``trunc``."""
+    """Width-changing integer casts (``zext``, ``sext``, ``trunc``) and
+    ``inttoptr``, which gives an integer used as an address a pointer
+    type."""
 
-    def __init__(self, op: str, value: Value, to_type: IntType, name: str = ""):
-        if op not in ("zext", "sext", "trunc"):
+    def __init__(self, op: str, value: Value, to_type: Type, name: str = ""):
+        if op not in ("zext", "sext", "trunc", "inttoptr"):
             raise ValueError(f"unknown cast {op!r}")
+        if (op == "inttoptr") != is_pointer(to_type):
+            raise TypeError(f"{op} cannot produce {to_type}")
         super().__init__(to_type, [value], name)
         self.op = op
 

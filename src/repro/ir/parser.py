@@ -40,7 +40,7 @@ from .instructions import (
     Store,
 )
 from .module import Module
-from .types import I1, I8, I16, I32, VOID, ArrayType, FunctionType, IntType, PointerType, Type
+from .types import I1, I8, I16, I32, VOID, ArrayType, FunctionType, PointerType, Type
 from .values import Constant, UndefValue
 
 
@@ -285,11 +285,12 @@ def _parse_instruction(p: _FunctionParser, block: BasicBlock, line: str) -> None
         if dst:
             p.define(dst, instr)
         return
-    if rest.startswith(("zext ", "sext ", "trunc ")):
-        m = re.fullmatch(r"(zext|sext|trunc) (.+?) to (.+)", rest)
+    if rest.startswith(("zext ", "sext ", "trunc ", "inttoptr ")):
+        m = re.fullmatch(r"(zext|sext|trunc|inttoptr) (.+?) to (.+)", rest)
         to_type = parse_type(m.group(3))
-        if not isinstance(to_type, IntType):
-            raise IRParseError("casts produce integers")
+        if isinstance(to_type, PointerType) != (m.group(1) == "inttoptr"):
+            raise IRParseError(
+                "inttoptr produces pointers, the other casts integers")
         instr = Cast(m.group(1), Constant(0), to_type)
         finish(instr, [m.group(2)])
         return

@@ -6,7 +6,8 @@ Errors raise :class:`VerificationError` with a human-readable reason.
 
 from __future__ import annotations
 
-from .instructions import Instruction, Phi
+from .instructions import Instruction, Load, Phi, Store
+from .types import is_pointer
 from .values import Constant, GlobalVariable, UndefValue, Value
 
 
@@ -56,6 +57,11 @@ def _check_structure(function) -> None:
             if instr.parent is not block:
                 raise VerificationError(
                     f"@{function.name}/{block.name}: bad parent link on {instr!r}"
+                )
+            if isinstance(instr, (Load, Store)) and not is_pointer(instr.pointer.type):
+                raise VerificationError(
+                    f"@{function.name}/{block.name}: {instr!r} addresses memory "
+                    f"through non-pointer {instr.pointer!r}"
                 )
         for target in (term.targets if hasattr(term, "targets") else []):
             if id(target) not in blocks:

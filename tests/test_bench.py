@@ -1,8 +1,9 @@
-"""The ``repro bench`` harness: its fault-injection throughput section."""
+"""The ``repro bench`` harness: its emulation and fault-injection
+throughput sections."""
 
 import json
 
-from repro.bench import bench_campaign, render_report
+from repro.bench import bench_campaign, bench_emulation, render_report
 
 
 def test_campaign_section_times_the_quick_campaign():
@@ -11,6 +12,13 @@ def test_campaign_section_times_the_quick_campaign():
     assert row["envs"] == ["wario", "ratchet", "wario-opt"]
     assert row["certified"] and row["cells"] > 0
     assert row["seconds"] > 0 and row["cells_per_sec"] > 0
+
+
+def test_emulation_section_times_first_and_warm_runs():
+    row = bench_emulation(quick=True)["crc"]
+    assert row["instructions"] > 0 and row["checkpoints_executed"] > 0
+    assert row["instrs_per_sec"] > 0 and row["first_instrs_per_sec"] > 0
+    assert row["first_seconds"] > 0
 
 
 def test_text_report_shows_campaign_throughput(tmp_path):

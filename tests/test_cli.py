@@ -108,12 +108,14 @@ class TestCLI:
         listing = open(out_path).read()
         assert "main:" in listing
 
-    @pytest.mark.parametrize("verb", ["compile", "run", "analyze"])
+    @pytest.mark.parametrize("verb", ["compile", "run", "analyze", "lint"])
     @pytest.mark.parametrize("source, message", [
         ("int main(void) { return x; }", "unknown identifier 'x'"),
         ("int main(void) { return 1 +; }", "unexpected token ';'"),
         ("int *p = 0;\nint main(void) { return 0; }",
          "unsupported global type i32*"),
+        ("int f(int x);\nint main(void) { return f(1); }",
+         "line 2: call to undefined function 'f'"),
     ])
     def test_compile_failure_is_reported(self, verb, source, message,
                                          tmp_path, capsys):

@@ -1,0 +1,228 @@
+"""The block-granular emulator loop against the reference interpreter.
+
+``Machine(..., fast_interp=True)`` executes a straight-line run with its
+counters updated once and steps one instruction at a time only where a
+boundary may fall inside the run: a power failure, a JIT checkpoint, a
+timer interrupt, the instruction limit, a pause or a stop.  These tests
+drive both interpreters through the same scenario and compare every
+observable after every ``run`` call.
+
+The first power-on period is aimed from a continuous reference trace
+so that it expires at the first, a middle or the last instruction of a
+run, or just after it.  The later periods, the timer interval, the JIT
+threshold, the instruction limit and the sequence of pauses, stops and
+forks are drawn freely, and an out-of-bounds store may be planted in the
+middle of a run.
+"""
+
+import dataclasses
+import functools
+import pickle
+
+from hypothesis import given, settings, strategies as st
+
+from repro.backend.mir import MInstr
+from repro.benchsuite import BENCHMARKS, compile_benchmark, get_benchmark
+from repro.emulator import (
+    DEFAULT_COSTS,
+    EmulationError,
+    EmulationLimit,
+    EventTrace,
+    Machine,
+    SchedulePower,
+)
+
+PROGRAMS = sorted(BENCHMARKS) + ["xcall"]
+ENVS = ("wario", "ratchet", "wario-opt")
+
+#: opcodes that end a straight-line run
+TERMINATORS = {"b", "bcc", "bl", "bx_lr", "checkpoint", "cpsid", "cpsie"}
+
+#: instructions of the continuous reference trace used for aiming
+TRACE_WINDOW = 1500
+
+
+@functools.lru_cache(maxsize=None)
+def program_of(name, env):
+    return compile_benchmark(get_benchmark(name), env)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_trace(name, env):
+    """``(pc, cycles before it)`` of the first instructions of the
+    continuous reference run, one limit-stepped instruction at a time."""
+    machine = Machine(program_of(name, env), fast_interp=False)
+    trace = []
+    for count in range(1, TRACE_WINDOW + 1):
+        trace.append((machine.pc, machine.stats.cycles))
+        try:
+            machine.run(max_instructions=count)
+        except EmulationLimit:
+            continue
+        break  # halted
+    return trace
+
+
+def runs_of(program, trace):
+    """``(first, last)`` trace indices of each executed run: a run starts
+    after a terminator and ends at the next one."""
+    spans, start = [], 0
+    for index, (pc, _cycles) in enumerate(trace):
+        if program.instrs[pc].opcode in TERMINATORS:
+            spans.append((start, index))
+            start = index + 1
+    return spans
+
+
+def plant_store(program, pc):
+    """A copy of ``program`` whose instruction at ``pc`` stores past the
+    end of memory."""
+    instrs = list(program.instrs)
+    instrs[pc] = MInstr("str", ops=[7, "sp", 0x100000])
+    return dataclasses.replace(program, instrs=instrs)
+
+
+def snapshot(machine):
+    """Every observable of a machine, copied."""
+    stats = machine.stats
+    war = machine.war
+    trace = machine._trace
+    return (
+        stats.copy(),
+        list(stats.checkpoint_causes.items()),
+        list(stats.call_counts.items()),
+        bytes(machine.memory),
+        list(machine.regs.items()),
+        machine.pc,
+        machine.last_cmp,
+        machine.interrupts_enabled,
+        machine.pending_interrupt,
+        machine._next_interrupt,
+        machine._period_used,
+        machine._jit_fired,
+        machine.region_cycles,
+        machine._failures_since_checkpoint,
+        machine._ckpt_active,
+        None if war is None else (
+            list(war.violations), list(war.first.items()), war.region_index),
+        None if trace is None else (trace.as_tuples(), trace._war_armed),
+    )
+
+
+def play(program, scenario, fast):
+    """Run ``scenario`` on one interpreter; the snapshot after each call,
+    and the exception that ended it, if any."""
+    war = scenario["war"]
+    machine = Machine(
+        program, war_check=war, fast_interp=fast,
+        interrupt_interval=scenario["interval"],
+        jit_checkpoint_threshold=scenario["jit"],
+        trace=EventTrace() if war else None,
+    )
+    periods, limit = scenario["periods"], scenario["limit"]
+    power = SchedulePower(periods) if periods else None
+    states = []
+    for action in scenario["calls"] + ["run"]:
+        try:
+            if action == "fork":
+                machine = machine.fork()
+            elif action == "pause":
+                machine.run(power, limit, pause_before_failure=True)
+            elif action.startswith("stop"):
+                commits = machine.stats.checkpoints + int(action[4:])
+                machine.run(power, limit, stop_after_commits=commits)
+            else:
+                machine.run(power, limit)
+        except EmulationError as exc:
+            states.append(snapshot(machine))
+            return states, (type(exc), str(exc))
+        states.append(snapshot(machine))
+    return states, None
+
+
+@st.composite
+def scenarios(draw):
+    name = draw(st.sampled_from(PROGRAMS))
+    env = draw(st.sampled_from(ENVS))
+    program = program_of(name, env)
+    trace = reference_trace(name, env)
+    spans = runs_of(program, trace)
+    first, last = draw(st.sampled_from(spans))
+    aim = draw(st.sampled_from((first, (first + last) // 2, last)))
+    pc, before = trace[aim]
+    # the period expires at the aimed instruction, or just after it
+    cost = DEFAULT_COSTS.cost_of(program.instrs[pc])
+    expiry = max(1, before + cost - draw(st.sampled_from((0, 1))))
+    later = draw(st.lists(st.integers(1, 20_000), max_size=2))
+    periods = draw(st.sampled_from(([expiry] + later, [expiry], None)))
+    planted = None
+    if draw(st.booleans()):
+        # an out-of-bounds store in the middle of an executed run
+        first, last = draw(st.sampled_from(
+            [span for span in spans if span[1] - span[0] >= 2] or spans))
+        planted = trace[(first + last) // 2][0]
+    bench = get_benchmark(name)
+    limit = draw(st.sampled_from((bench.max_instructions, None)))
+    if limit is None:
+        limit = draw(st.integers(1, 2 * len(trace)))
+    return {
+        "program": (name, env),
+        "planted": planted,
+        "war": draw(st.booleans()),
+        "interval": draw(st.none() | st.integers(40, 4000)),
+        "jit": draw(st.none() | st.integers(0, 2500)),
+        "periods": periods,
+        "limit": limit,
+        "calls": draw(st.lists(
+            st.sampled_from(("pause", "stop1", "stop3", "run", "fork")),
+            max_size=4)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_runs_match_the_reference_interpreter(scenario):
+    program = program_of(*scenario["program"])
+    if scenario["planted"] is not None:
+        program = plant_store(program, scenario["planted"])
+    fast = play(program, scenario, fast=True)
+    reference = play(program, scenario, fast=False)
+    assert fast == reference
+
+
+def test_aimed_periods_cover_every_run_position():
+    """The aiming trace holds runs of three or more instructions, so a
+    period can expire at a run's first, a middle and its last one."""
+    program = program_of("crc", "wario")
+    spans = runs_of(program, reference_trace("crc", "wario"))
+    assert any(last - first >= 2 for first, last in spans)
+
+
+def test_a_planted_store_faults_identically():
+    """An out-of-bounds store inside a run: both interpreters raise the
+    same error with the same counters, with and without WAR checking."""
+    program = program_of("sha", "wario")
+    trace = reference_trace("sha", "wario")
+    first, last = next(span for span in runs_of(program, trace)
+                       if span[1] - span[0] >= 4)
+    planted = plant_store(program, trace[first + 2][0])
+    for war in (False, True):
+        scenario = {"war": war, "interval": None, "jit": None,
+                    "periods": None, "limit": 1_000_000, "calls": []}
+        fast = play(planted, scenario, fast=True)
+        assert fast[1][0] is EmulationError
+        assert fast[1][1].startswith("store out of bounds: 0x")
+        assert fast[0][-1][0].instructions == first + 3
+        assert fast == play(planted, scenario, fast=False)
+
+
+def test_a_run_program_pickles_without_emulator_caches():
+    program = compile_benchmark(BENCHMARKS["crc"], "wario", cache=False)
+    machine = Machine(program)
+    machine.run()
+    assert hasattr(program, "_decoded_cache")
+    clone = pickle.loads(pickle.dumps(program))
+    assert not hasattr(clone, "_decoded_cache")
+    again = Machine(clone)
+    again.run()
+    assert snapshot(again) == snapshot(machine)

@@ -137,6 +137,12 @@ ROUND_TRIP_SOURCES = [
         return 0;
     }
     """,
+    # an integer cast to a pointer: an inttoptr
+    """
+    unsigned int b[4]; unsigned int out;
+    void poke(unsigned int addr, unsigned int v) { unsigned int *q = (unsigned int *)addr; *q = v; }
+    int main(void) { poke((unsigned int)&b[1], 7u); out = b[1]; return 0; }
+    """,
 ]
 
 

@@ -10,6 +10,7 @@ from repro.ir import (
     IRBuilder,
     Module,
     Phi,
+    PointerType,
     Ret,
     VerificationError,
     verify_function,
@@ -173,3 +174,23 @@ def test_unknown_operand_rejected():
     b.ret(v)
     with pytest.raises(VerificationError, match="unknown value"):
         verify_function(f)
+
+
+@pytest.mark.parametrize("access", ["load", "store"])
+def test_non_pointer_address_rejected(access):
+    """A load or store addresses memory through a pointer: an integer
+    put in its address operand (as a rewrite could) is refused, and the
+    ``inttoptr`` a cast compiles to is accepted."""
+    m, f = _fn(params=(PointerType(I32), I32))
+    pointer, integer = f.args
+    b = IRBuilder(f.add_block("entry"))
+    address = b.cast("inttoptr", integer, PointerType(I32))
+    instr = (b.load(pointer) if access == "load"
+             else b.store(b.const(7), pointer))
+    b.ret(b.const(0))
+    verify_function(f)
+    instr.replace_uses_of(pointer, integer)
+    with pytest.raises(VerificationError, match="through non-pointer"):
+        verify_function(f)
+    instr.replace_uses_of(integer, address)
+    verify_function(f)

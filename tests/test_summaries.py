@@ -33,7 +33,7 @@ from repro.ir.instructions import Call, Load, Store
 from repro.ir.parser import parse_module
 from repro.transforms import optimize_module
 
-from .helpers import INSTRUMENTED, compile_and_run
+from .helpers import ALL_ENVIRONMENTS, INSTRUMENTED, compile_and_run
 
 
 HELPER_SRC = """
@@ -473,6 +473,62 @@ class TestIntegerDerivedAddresses:
     @pytest.mark.parametrize("shape", sorted(ROUND_TRIP_SRCS))
     def test_round_trip_runs_war_clean_and_certifies(self, shape, env):
         _assert_clean_and_certified(ROUND_TRIP_SRCS[shape], env)
+
+    def test_causes_are_located_at_the_store(self, tmp_path, capsys):
+        """Both warnings name the line of ``q[0] = s + u;``, the store
+        through the untracked address."""
+        path = tmp_path / "callee.c"
+        path.write_text(CALLEE_SRC)
+        assert main(["lint", str(path), "--env", "wario-summaries"]) == 0
+        out = capsys.readouterr().out
+        line = CALLEE_SRC.splitlines().index("    q[0] = s + u;") + 1
+        for code in ("analysis-unknown-root", "analysis-heap-store-top"):
+            assert f"callee.c.0:{line}: warning: [{code}]" in out
+
+
+#: An integer parameter cast to a pointer and stored through (``poke``)
+#: or loaded through (``peek``), called with the address of ``buf[1]``;
+#: ``main`` returns 7 either way.
+CAST_SRCS = {
+    "store": """
+unsigned int buf[4];
+void poke(unsigned int addr, unsigned int v) { unsigned int *q = (unsigned int *)addr; *q = v; }
+int main(void) { poke((unsigned int)&buf[1], 7u); return buf[1]; }
+""",
+    "load": """
+unsigned int buf[4] = {3u, 7u, 11u, 13u};
+unsigned int peek(unsigned int addr) { unsigned int *q = (unsigned int *)addr; return *q; }
+int main(void) { return peek((unsigned int)&buf[1]); }
+""",
+}
+
+
+class TestCastToPointer:
+    """A cast from an integer to a pointer compiles to a pointer-typed
+    address whose points-to set is TOP."""
+
+    @pytest.mark.parametrize("shape", sorted(CAST_SRCS))
+    def test_the_address_is_top_with_its_cause(self, shape):
+        m = compile_source(CAST_SRCS[shape])
+        optimize_module(m)
+        pt = AndersenPointsTo(m)
+        fname = "poke" if shape == "store" else "peek"
+        access = Store if shape == "store" else Load
+        for instr in m.get_function(fname).instructions():
+            if isinstance(instr, access):
+                assert pt.objects_of(instr.pointer, fname) is None
+        assert _unknown_root_in(pt.causes, fname)
+
+    @pytest.mark.parametrize("env", ALL_ENVIRONMENTS)
+    @pytest.mark.parametrize("shape", sorted(CAST_SRCS))
+    def test_runs_and_certifies_everywhere(self, shape, env):
+        machine = compile_and_run(CAST_SRCS[shape], env, war_check=True)
+        assert machine.regs["r0"] == 7
+        assert machine.read_global("buf", count=2) == (
+            [0, 7] if shape == "store" else [3, 7])
+        assert machine.war.clean, (env, machine.war.violations[:2])
+        result = lint_sources(CAST_SRCS[shape], env, level="full")
+        assert result.certified, (env, result.engine.summary())
 
 
 RELAXED_SRC = """
