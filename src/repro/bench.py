@@ -18,10 +18,15 @@ diff:
   plus the resulting speedup;
 * **campaign** — fault-injection throughput: cells, wall seconds and
   cells per second of the quick campaign (``inject --quick``) at
-  ``jobs=1`` with the cache off, its programs compiled beforehand.
+  ``jobs=1`` with the cache off, its programs compiled beforehand;
+* **sweep** — single-failure sweep throughput: one failure every 10
+  cycles over crc's continuous run under ``wario`` and one every 25
+  over sha's, each cell replayed serially with the cache off through
+  the campaign's pair executor and judged as the campaign judges it.
 
 ``--quick`` shrinks every axis but the campaign for CI smoke runs (one
-benchmark, two environments, Figure 4 only).
+benchmark, two environments, Figure 4 only, crc's sweep alone at one
+failure every 100 cycles).
 """
 
 from __future__ import annotations
@@ -40,11 +45,17 @@ from .core import iclang
 from .emulator import Machine
 from .eval.runner import default_jobs
 from .faultinject import quick_config, run_campaign
+from .faultinject.campaign import (
+    _execute_oracle, _execute_pair, certify_outcome,
+)
 
 FULL_COMPILE_ENVS = ("plain", "ratchet", "wario", "wario-expander")
 QUICK_COMPILE_ENVS = ("plain", "wario")
 FULL_EVAL_EXPERIMENTS: List[str] = []          # empty = everything
 QUICK_EVAL_EXPERIMENTS = ["fig4"]
+#: single-failure sweeps: (benchmark, environment, cycles between failures)
+SWEEPS = (("crc", "wario", 10), ("sha", "wario", 25))
+QUICK_SWEEPS = (("crc", "wario", 100),)
 
 
 def _revision() -> str:
@@ -205,6 +216,30 @@ def bench_campaign() -> Dict[str, object]:
     }
 
 
+def bench_sweep(quick: bool = False) -> Dict[str, Dict[str, object]]:
+    """Cells per second of single-failure sweeps: one cell per failure
+    point, every ``step`` cycles over the pair's continuous run, replayed
+    serially and uncached through the campaign's pair executor, with the
+    program and its oracle built before the clock starts."""
+    out: Dict[str, Dict[str, object]] = {}
+    for name, env, step in QUICK_SWEEPS if quick else SWEEPS:
+        oracle = _execute_oracle(name, env, cache=False)
+        schedules = [(cycle,) for cycle in range(step, oracle.cycles, step)]
+        start = time.perf_counter()
+        outcomes = _execute_pair(name, env, schedules, cache=False,
+                                 oracle=oracle.totals)
+        elapsed = time.perf_counter() - start
+        out[f"{name}/{env}"] = {
+            "step": step,
+            "cells": len(outcomes),
+            "passed": all(certify_outcome(outcome, oracle)[0] == "pass"
+                          for outcome in outcomes),
+            "seconds": round(elapsed, 3),
+            "cells_per_sec": round(len(outcomes) / elapsed, 1),
+        }
+    return out
+
+
 def run_bench(quick: bool = False, output: Optional[str] = None) -> str:
     """Run every measurement and write the JSON report.  Returns the
     output path."""
@@ -221,6 +256,7 @@ def run_bench(quick: bool = False, output: Optional[str] = None) -> str:
         "elision": bench_elision(quick=quick),
         "eval": bench_eval(quick=quick),
         "campaign": bench_campaign(),
+        "sweep": bench_sweep(quick=quick),
     }
     path = output or f"BENCH_{report['revision']}.json"
     with open(path, "w") as handle:
@@ -270,11 +306,18 @@ def render_report(path: str) -> str:
             f"{','.join(campaign['envs'])}): {campaign['cells']} cells in "
             f"{campaign['seconds']}s ({campaign['cells_per_sec']} cells/s)"
         )
+    for pair, row in report.get("sweep", {}).items():
+        lines.append(
+            f"sweep   {pair:<16} one failure every {row['step']} cycles: "
+            f"{row['cells']} cells in {row['seconds']}s "
+            f"({row['cells_per_sec']} cells/s), "
+            f"{'all pass' if row['passed'] else 'FAILING CELLS'}"
+        )
     return "\n".join(lines)
 
 
 __all__ = [
     "bench_campaign", "bench_compile", "bench_elision", "bench_emulation",
-    "bench_eval",
+    "bench_eval", "bench_sweep",
     "render_report", "run_bench",
 ]

@@ -133,6 +133,9 @@ _EXT_IDS = {"sxtb": 0, "uxtb": 1, "sxth": 2, "uxth": 3}
 
 #: the limit of a counter that nothing bounds (no supply, no timer)
 _NEVER = 1 << 64
+#: what both interpreters say they cannot execute at the pc just past
+#: the last instruction
+_END_OF_PROGRAM = "the end of the program"
 _READ = WARChecker.READ
 _LOADING_KINDS = (K_LDR4, K_LDR1, K_LDR2, K_POP)
 
@@ -262,7 +265,7 @@ def _decode_program(program: Program, costs: CostModel) -> List[tuple]:
         entry = _decode(instr, program, costs)
         decoded.append(entry + (pc, pre))
         pre += entry[1]
-    decoded.append((K_BAD, 0, "the end of the program", len(decoded), pre))
+    decoded.append((K_BAD, 0, _END_OF_PROGRAM, len(decoded), pre))
     return decoded
 
 
@@ -314,6 +317,10 @@ def _decoded_for(program: Program, costs: CostModel) -> Tuple[list, dict]:
 
 class Machine:
     """One emulated device executing one program."""
+
+    #: ``stats.instructions`` when the active checkpoint was committed
+    #: (the boot checkpoint: 0), set by :meth:`_take_checkpoint`
+    commit_instructions = 0
 
     def __init__(
         self,
@@ -428,19 +435,13 @@ class Machine:
         if war is not None:
             trace = self._trace
             if trace is None:
-                war.on_write(
-                    addr, size, self.pc, self.program.function_of_index[self.pc],
-                    loc=self.program.instrs[self.pc].loc,
-                )
+                war.on_write(addr, size, self.pc, self.program)
             else:
                 # tracing: both loops synchronise ``stats.cycles`` (and
                 # ``pc``) before reaching here, so the recorded cycle is
                 # the cumulative on-time before this store's cost
                 before = len(war.violations)
-                war.on_write(
-                    addr, size, self.pc, self.program.function_of_index[self.pc],
-                    loc=self.program.instrs[self.pc].loc,
-                )
+                war.on_write(addr, size, self.pc, self.program)
                 trace.on_store(self.stats.cycles, self.pc, addr)
                 if len(war.violations) != before:
                     trace.on_war_violation(self.stats.cycles, self.pc, addr)
@@ -461,6 +462,7 @@ class Machine:
         if next_pc is None:
             next_pc = self.pc + 1  # resume after the checkpoint instruction
         self._ckpt_active = (dict(self.regs), next_pc, self.last_cmp)
+        self.commit_instructions = self.stats.instructions
         self._failures_since_checkpoint = 0
         self.stats.record_checkpoint(cause, self.region_cycles)
         self.region_cycles = 0
@@ -513,35 +515,52 @@ class Machine:
         max_instructions: int = 100_000_000,
         pause_before_failure: bool = False,
         stop_after_commits: Optional[int] = None,
+        stop_after_failures: Optional[int] = None,
+        stop_at_instructions: Optional[int] = None,
     ) -> ExecutionStats:
         """Execute until halt and return the (cumulative) statistics.
 
         ``pause_before_failure`` returns instead of failing when the
         supply's next power failure is due; ``stop_after_commits``
         returns right after the checkpoint instruction whose commit
-        brings ``stats.checkpoints`` to that count.  Either way the
+        brings ``stats.checkpoints`` to that count;
+        ``stop_after_failures`` returns right after the restore that
+        follows the power failure bringing ``stats.power_failures`` to
+        that count or past it (a dead period counts as a failure); and
+        ``stop_at_instructions`` returns, where ``max_instructions``
+        would raise, once ``stats.instructions`` reaches that count.
+        The run returns at the first stop it meets.  Either way the
         machine (or a :meth:`fork` of it) can be run again: given the
         same supply, the runs together equal one uninterrupted run, and
         given no supply the rest runs under continuous power.  A resumed
         run re-creates the supply's iterator and skips the periods that
         ``stats.power_failures`` says are spent, so the supply must be
         deterministic.  A halted machine returns its statistics
-        unchanged.  ``stop_after_commits`` must exceed the commits made
-        so far: a run could never stop at a count it has already passed.
+        unchanged.  Each stop must exceed the count reached so far: a
+        run could never stop at a count it has already passed.
         """
-        if (stop_after_commits is not None
-                and stop_after_commits <= self.stats.checkpoints):
-            raise ValueError(
-                f"stop_after_commits={stop_after_commits} is not past the "
-                f"{self.stats.checkpoints} commits already made"
-            )
-        if self.stats.halted:
-            return self.stats
-        if self.fast_interp:
-            return self._run_decoded(power, max_instructions,
-                                     pause_before_failure, stop_after_commits)
-        return self._run_reference(power, max_instructions,
-                                   pause_before_failure, stop_after_commits)
+        stats = self.stats
+        for name, stop, reached, what in (
+                ("stop_after_commits", stop_after_commits,
+                 stats.checkpoints, "commits already made"),
+                ("stop_after_failures", stop_after_failures,
+                 stats.power_failures, "power failures already met"),
+                ("stop_at_instructions", stop_at_instructions,
+                 stats.instructions, "instructions already executed")):
+            if stop is not None and stop <= reached:
+                raise ValueError(
+                    f"{name}={stop} is not past the {reached} {what}")
+        if stats.halted:
+            return stats
+        # an instruction count to stop at is an instruction limit at
+        # which the run returns instead of raising
+        stop_at_limit = (stop_at_instructions is not None
+                         and stop_at_instructions <= max_instructions)
+        if stop_at_limit:
+            max_instructions = stop_at_instructions
+        loop = self._run_decoded if self.fast_interp else self._run_reference
+        return loop(power, max_instructions, pause_before_failure,
+                    stop_after_commits, stop_after_failures, stop_at_limit)
 
     def _power_periods(self, power: Optional[PowerSupply]):
         """``(iterator, current budget)`` of a supply, advanced past the
@@ -570,6 +589,8 @@ class Machine:
         max_instructions: int,
         pause_before_failure: bool = False,
         stop_after_commits: Optional[int] = None,
+        stop_after_failures: Optional[int] = None,
+        stop_at_limit: bool = False,
     ) -> ExecutionStats:
         """The fast path: execute the predecoded stream run by run.
 
@@ -583,10 +604,11 @@ class Machine:
         executes its body with the counters updated once, then its
         terminator; no check between its instructions could fire.  Any
         other run steps one instruction: the reference's checks before
-        and after it, through the same handlers.  A stop lowers
-        ``max_instructions`` to the current count, so the next run steps
-        and returns at its limit test, after the checkpoint has
-        completed.
+        and after it, through the same handlers.  A stop after a commit
+        lowers ``max_instructions`` to the current count, so the next run
+        steps and returns at its limit test, after the checkpoint has
+        completed; ``stop_at_limit`` returns there instead of raising.
+        A stop after a failure returns from the power-failure handler.
         """
         decoded, runs = self._decoded
         costs = self.costs
@@ -618,7 +640,7 @@ class Machine:
             self._jit_fired = True
         period_cap = _period_cap(budget, jit_threshold, jit_fired)
         period_used = self._period_used
-        stopping = False
+        stopping = stop_at_limit
 
         addr = 0
         try:
@@ -685,6 +707,12 @@ class Machine:
                         pc = self.pc
                         cmp_a, cmp_b = self.last_cmp
                         region_cycles = 0
+                        if (stop_after_failures is not None
+                                and stats.power_failures >= stop_after_failures):
+                            self._park(icount, cycles, pc, cmp_a, cmp_b,
+                                       region_cycles, next_interrupt)
+                            self._period_used = period_used
+                            return stats
                         continue
                     if body:
                         body = body[:1]
@@ -1011,8 +1039,11 @@ class Machine:
         max_instructions: int,
         pause_before_failure: bool = False,
         stop_after_commits: Optional[int] = None,
+        stop_after_failures: Optional[int] = None,
+        stop_at_limit: bool = False,
     ) -> ExecutionStats:
         instrs = self.program.instrs
+        end = len(instrs)
         costs = self.costs
         stats = self.stats
         regs = self.regs
@@ -1025,9 +1056,14 @@ class Machine:
         ):
             self._jit_fired = True  # collapsed before the comparator
         period_used = self._period_used
-        stopping = False
+        stopping = stop_at_limit
 
         while True:
+            # a malformed program fails as in the fast loop: a pc past
+            # the end at once, and the end of the program or an unknown
+            # opcode (costing 0 cycles) when executed
+            if self.pc > end:
+                raise EmulationError(f"no instruction at pc {self.pc}")
             if stats.instructions >= max_instructions:
                 self._period_used = period_used
                 if stopping:
@@ -1036,8 +1072,13 @@ class Machine:
                     f"exceeded {max_instructions} instructions "
                     f"({stats.summary()})"
                 )
-            instr = instrs[self.pc]
-            cost = costs.cost_of(instr)
+            instr, cost = None, 0
+            if self.pc < end:
+                instr = instrs[self.pc]
+                try:
+                    cost = costs.cost_of(instr)
+                except KeyError:
+                    pass
 
             if budget is not None and period_used + cost > budget:
                 if pause_before_failure:
@@ -1072,9 +1113,15 @@ class Machine:
                 )  # a too-short period collapses before the comparator
                 self._restore_checkpoint()
                 regs = self.regs
+                if (stop_after_failures is not None
+                        and stats.power_failures >= stop_after_failures):
+                    self._period_used = period_used
+                    return stats
                 continue
 
             stats.instructions += 1
+            if instr is None:
+                raise EmulationError(f"cannot execute {_END_OF_PROGRAM!r}")
             taken_branch = False
             op = instr.opcode
             ops = instr.ops

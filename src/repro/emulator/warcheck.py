@@ -66,20 +66,22 @@ class WARChecker:
             if a not in first:
                 first[a] = self.READ
 
-    def on_write(
-        self,
-        address: int,
-        size: int,
-        pc: int = -1,
-        function: str = "?",
-        loc: Optional[SourceLoc] = None,
-    ) -> None:
+    def on_write(self, address: int, size: int, pc: int = -1,
+                 program=None) -> None:
+        """A store of ``size`` bytes at ``address`` by the instruction at
+        ``pc`` of ``program``, which names the function and source
+        location of a violation; both are looked up only when a
+        violation is recorded."""
         first = self.first
         for a in range(address, address + size):
             kind = first.get(a)
             if kind is None:
                 first[a] = self.WRITE
             elif kind == self.READ:
+                function, loc = "?", None
+                if program is not None:
+                    function = program.function_of_index[pc]
+                    loc = program.instrs[pc].loc
                 self.violations.append(
                     Violation(a, pc, function, self.region_index, loc)
                 )

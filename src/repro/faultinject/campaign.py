@@ -305,9 +305,10 @@ class _ContinuousRun:
 
     ``pause`` only moves forward: it pauses just before each cell's
     first failure in turn, and the cell's replay forks it there.
-    ``rejoin`` is a second copy, brought to each replay's commit count.
-    Both machines are created on first use, and a machine whose run
-    raised is dropped rather than resumed.
+    ``rejoin`` is a second copy, brought to the commit count of each
+    replay that does not rejoin ``pause`` at its failure point.  Both
+    machines are created on first use, and a machine whose run raised
+    is dropped rather than resumed.
     """
 
     def __init__(self, program, limit: int):
@@ -354,6 +355,13 @@ class _ContinuousRun:
         return machine
 
 
+def _rejoins(replay: Machine, cursor: Machine) -> bool:
+    """True when ``replay`` stands where the continuous ``cursor`` does:
+    the same machine state and the same WAR first accesses, so that the
+    rest of the replay is the rest of the cursor's run."""
+    return replay.same_state(cursor) and replay.war.first == cursor.war.first
+
+
 def _fast_forward(bench, schedule: Schedule, oracle: OracleTotals,
                   run: _ContinuousRun) -> Optional[CellOutcome]:
     """The outcome of replaying ``schedule`` without emulating the part
@@ -361,13 +369,17 @@ def _fast_forward(bench, schedule: Schedule, oracle: OracleTotals,
     replay has to run to halt.
 
     The continuous ``run`` is paused just before the schedule's first
-    failure and forked; the fork replays the schedule and stops at its
-    first checkpoint commit after the last scheduled failure, and a
-    continuous copy is brought to the same commit count.  If the two machines are then in the same state,
-    the rest of the replay is the rest of the continuous run, so the
-    final memory, outputs and the remaining instructions, cycles and
-    commits are the oracle's.  The caller guarantees a WAR-clean oracle
-    and no interrupt timer.
+    failure and forked; the fork replays the schedule up to the restore
+    after its last failure.  If that restored the pause cursor's last
+    commit, the fork re-executes the instructions the cursor executed
+    after that commit and is compared with the cursor at its failure
+    point.  Otherwise, or if they differ, the fork runs on to its next
+    commit and is compared with a continuous copy brought to the same
+    commit count.  If the two machines are in the same state, the rest
+    of the replay is the rest of the continuous run, so the final
+    memory, outputs and the remaining instructions, cycles and commits
+    are the oracle's.  The caller guarantees a WAR-clean oracle and no
+    interrupt timer.
     """
     limit = bench.max_instructions
     power = SchedulePower(schedule)
@@ -378,18 +390,28 @@ def _fast_forward(bench, schedule: Schedule, oracle: OracleTotals,
             return _outcome(bench, paused, schedule, "", None)
         replay = paused.fork()
         stats = replay.stats
-        while True:
-            replay.run(power, limit, stop_after_commits=stats.checkpoints + 1)
+        replay.run(power, limit, stop_after_failures=len(schedule))
+        restored = stats.checkpoints
+        continuous = None
+        if restored == paused.stats.checkpoints and not stats.halted:
+            since = paused.stats.instructions - paused.commit_instructions
+            if since:
+                replay.run(power, limit, stop_after_commits=restored + 1,
+                           stop_at_instructions=stats.instructions + since)
+            if (stats.checkpoints == restored and not stats.halted
+                    and _rejoins(replay, paused)):
+                continuous = paused
+        if continuous is None:
+            if stats.checkpoints == restored:
+                replay.run(power, limit, stop_after_commits=restored + 1)
             if stats.halted:
                 return _outcome(bench, replay, schedule, "", None)
-            if stats.power_failures >= len(schedule):
-                break
-        continuous = run.after_commit(stats.checkpoints)
+            continuous = run.after_commit(stats.checkpoints)
+            if continuous.stats.halted or not _rejoins(replay, continuous):
+                return None
     except EmulationError:
         return None
     rejoined = continuous.stats
-    if rejoined.halted or not replay.same_state(continuous):
-        return None
     instructions = stats.instructions + oracle.instructions - rejoined.instructions
     if instructions >= limit:
         return None

@@ -109,6 +109,22 @@ class TestExecution:
         inst = compile_and_run(SRC_LOOP, env="ratchet").stats.cycles
         assert inst > plain
 
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    def test_violations_name_their_function_and_line(self, fast_interp):
+        # a dropped checkpoint leaves a WAR in crc_chunk, not in main
+        env = replace(ENVIRONMENTS["wario"], name="wario-mutant",
+                      drop_checkpoint=0)
+        program = compile_benchmark(BENCHMARKS["crc"], env, None, cache=False)
+        machine = Machine(program, war_check=True, fast_interp=fast_interp)
+        machine.run()
+        violations = machine.war.violations
+        assert len(violations) == 128
+        assert {(v.pc, v.function, str(v.loc)) for v in violations} == {
+            (102, "crc_chunk", "crc.0:54")}
+        assert str(violations[0]) == (
+            "WAR violation: store to 0x1604 after a load in the same "
+            "idempotent region (pc=102, fn=crc_chunk, region #1, crc.0:54)")
+
     def test_checkpoint_flags_preserved(self):
         # a checkpoint between cmp and the dependent branch must not
         # corrupt the comparison (flags are saved by the runtime)
@@ -289,8 +305,11 @@ class TestPauseStopFork:
 
     @staticmethod
     def state(machine):
+        war = machine.war
         return (machine.stats.copy(), bytes(machine.memory),
-                dict(machine.regs), machine.pc, list(machine.war.violations))
+                dict(machine.regs), machine.pc, machine.last_cmp,
+                machine._ckpt_active, machine.commit_instructions,
+                list(war.violations), dict(war.first), war.region_index)
 
     def whole(self, program, power, fast_interp=True):
         machine = Machine(program, fast_interp=fast_interp)
@@ -375,6 +394,81 @@ class TestPauseStopFork:
         assert self.state(machine) == stopped
         machine.run(None, self.LIMIT, stop_after_commits=4)
         assert stats.checkpoints == 4 and not stats.halted
+
+    @pytest.mark.parametrize("fork", [False, True])
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    @pytest.mark.parametrize("env", ["wario", "mutant"])
+    def test_failure_and_count_stops_then_resume_equal_one_run(
+            self, env, fast_interp, fork):
+        """A run that returns right after a failure's restore, then at
+        an instruction count, then after two more failures, and is then
+        resumed (forked or not) equals one uninterrupted run."""
+        program = self.program(env)
+        split = Machine(program, fast_interp=fast_interp)
+        stats = split.run(self.POWER, self.LIMIT, stop_after_failures=1)
+        assert stats.power_failures == 1 and not stats.halted
+        # right after the restore: the active checkpoint's registers and
+        # pc, and a WAR region that starts afresh
+        regs, pc, cmp_state = split._ckpt_active
+        assert (split.regs, split.pc, split.last_cmp) == (regs, pc, cmp_state)
+        assert not split.war.first and split._period_used == (
+            DEFAULT_COSTS.boot_cycles + DEFAULT_COSTS.restore_cycles)
+        count = stats.instructions + 777
+        split.run(self.POWER, self.LIMIT, stop_at_instructions=count)
+        assert stats.instructions == count and stats.power_failures == 1
+        if fork:
+            split = split.fork()
+        stats = split.run(self.POWER, self.LIMIT, stop_after_failures=3)
+        assert stats.power_failures == 3 and not stats.halted
+        split.run(self.POWER, self.LIMIT)
+        assert stats.halted and stats.power_failures == 4
+        assert self.state(split) == self.whole(program, self.POWER, fast_interp)
+
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    def test_a_dead_period_passes_a_failure_stop(self, fast_interp):
+        """A period too short to boot counts as a failure of its own: a
+        stop at the first failure returns after the restore that
+        follows both."""
+        program = self.program("wario")
+        power = SchedulePower((11_500, 10, 4_000))
+        split = Machine(program, fast_interp=fast_interp)
+        stats = split.run(power, self.LIMIT, stop_after_failures=1)
+        assert stats.power_failures == 2 and split.pc == split._ckpt_active[1]
+        split.run(power, self.LIMIT)
+        assert self.state(split) == self.whole(program, power, fast_interp)
+
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    def test_a_count_stop_returns_only_below_the_limit(self, fast_interp):
+        program = self.program("wario")
+        machine = Machine(program, fast_interp=fast_interp)
+        stats = machine.run(None, 500, stop_at_instructions=500)
+        assert stats.instructions == 500 and not stats.halted
+        with pytest.raises(EmulationLimit, match="exceeded 900"):
+            machine.run(None, 900, stop_at_instructions=901)
+        assert stats.instructions == 900
+        machine.run(None, self.LIMIT, stop_after_commits=stats.checkpoints + 1,
+                    stop_at_instructions=self.LIMIT)
+        # the commit came first, and recorded its instruction count
+        assert machine.commit_instructions == stats.instructions
+        assert program.instrs[machine.pc - 1].opcode == "checkpoint"
+
+    @pytest.mark.parametrize("fast_interp", [True, False])
+    def test_stale_failure_and_instruction_counts_are_refused(
+            self, fast_interp):
+        machine = Machine(self.program("wario"), fast_interp=fast_interp)
+        with pytest.raises(ValueError, match="stop_after_failures=0"):
+            machine.run(self.POWER, self.LIMIT, stop_after_failures=0)
+        stats = machine.run(self.POWER, self.LIMIT, stop_after_failures=2)
+        stopped = self.state(machine)
+        with pytest.raises(ValueError,
+                           match="2 power failures already met"):
+            machine.run(self.POWER, self.LIMIT, stop_after_failures=2)
+        with pytest.raises(ValueError, match=(
+                f"stop_at_instructions={stats.instructions} is not past "
+                f"the {stats.instructions} instructions already executed")):
+            machine.run(self.POWER, self.LIMIT,
+                        stop_at_instructions=stats.instructions)
+        assert self.state(machine) == stopped
 
     @pytest.mark.parametrize("fast_interp", [True, False])
     def test_successive_pauses_equal_fresh_pauses(self, fast_interp):

@@ -10,9 +10,11 @@ observable after every ``run`` call.
 The first power-on period is aimed from a continuous reference trace
 so that it expires at the first, a middle or the last instruction of a
 run, or just after it.  The later periods, the timer interval, the JIT
-threshold, the instruction limit and the sequence of pauses, stops and
-forks are drawn freely, and an out-of-bounds store may be planted in the
-middle of a run.
+threshold, the instruction limit and the sequence of pauses, stops
+(after commits, after failures, at instruction counts) and forks are
+drawn freely, and the middle of a run may be planted with an
+out-of-bounds store, an instruction no interpreter can execute, or a
+branch to the end of the program or past it.
 """
 
 import dataclasses
@@ -74,11 +76,18 @@ def runs_of(program, trace):
     return spans
 
 
-def plant_store(program, pc):
+def plant(program, pc, what="store"):
     """A copy of ``program`` whose instruction at ``pc`` stores past the
-    end of memory."""
+    end of memory (``"store"``), has an opcode no interpreter knows
+    (``"bogus"``), or branches to the end of the program (``"end"``) or
+    past it (``"past"``)."""
     instrs = list(program.instrs)
-    instrs[pc] = MInstr("str", ops=[7, "sp", 0x100000])
+    instrs[pc] = {
+        "store": MInstr("str", ops=[7, "sp", 0x100000]),
+        "bogus": MInstr("bogus"),
+        "end": MInstr("b", ops=[len(instrs)]),
+        "past": MInstr("b", ops=[len(instrs) + 3]),
+    }[what]
     return dataclasses.replace(program, instrs=instrs)
 
 
@@ -103,6 +112,7 @@ def snapshot(machine):
         machine.region_cycles,
         machine._failures_since_checkpoint,
         machine._ckpt_active,
+        machine.commit_instructions,
         None if war is None else (
             list(war.violations), list(war.first.items()), war.region_index),
         None if trace is None else (trace.as_tuples(), trace._war_armed),
@@ -131,6 +141,12 @@ def play(program, scenario, fast):
             elif action.startswith("stop"):
                 commits = machine.stats.checkpoints + int(action[4:])
                 machine.run(power, limit, stop_after_commits=commits)
+            elif action.startswith("fail"):
+                failures = machine.stats.power_failures + int(action[4:])
+                machine.run(power, limit, stop_after_failures=failures)
+            elif action.startswith("count"):
+                count = machine.stats.instructions + int(action[5:])
+                machine.run(power, limit, stop_at_instructions=count)
             else:
                 machine.run(power, limit)
         except EmulationError as exc:
@@ -157,10 +173,11 @@ def scenarios(draw):
     periods = draw(st.sampled_from(([expiry] + later, [expiry], None)))
     planted = None
     if draw(st.booleans()):
-        # an out-of-bounds store in the middle of an executed run
+        # a faulting instruction in the middle of an executed run
         first, last = draw(st.sampled_from(
             [span for span in spans if span[1] - span[0] >= 2] or spans))
-        planted = trace[(first + last) // 2][0]
+        planted = (trace[(first + last) // 2][0],
+                   draw(st.sampled_from(("store", "bogus", "end", "past"))))
     bench = get_benchmark(name)
     limit = draw(st.sampled_from((bench.max_instructions, None)))
     if limit is None:
@@ -174,7 +191,8 @@ def scenarios(draw):
         "periods": periods,
         "limit": limit,
         "calls": draw(st.lists(
-            st.sampled_from(("pause", "stop1", "stop3", "run", "fork")),
+            st.sampled_from(("pause", "stop1", "stop3", "fail1", "fail2",
+                             "count1", "count40", "run", "fork")),
             max_size=4)),
     }
 
@@ -184,7 +202,7 @@ def scenarios(draw):
 def test_runs_match_the_reference_interpreter(scenario):
     program = program_of(*scenario["program"])
     if scenario["planted"] is not None:
-        program = plant_store(program, scenario["planted"])
+        program = plant(program, *scenario["planted"])
     fast = play(program, scenario, fast=True)
     reference = play(program, scenario, fast=False)
     assert fast == reference
@@ -205,7 +223,7 @@ def test_a_planted_store_faults_identically():
     trace = reference_trace("sha", "wario")
     first, last = next(span for span in runs_of(program, trace)
                        if span[1] - span[0] >= 4)
-    planted = plant_store(program, trace[first + 2][0])
+    planted = plant(program, trace[first + 2][0])
     for war in (False, True):
         scenario = {"war": war, "interval": None, "jit": None,
                     "periods": None, "limit": 1_000_000, "calls": []}
@@ -214,6 +232,35 @@ def test_a_planted_store_faults_identically():
         assert fast[1][1].startswith("store out of bounds: 0x")
         assert fast[0][-1][0].instructions == first + 3
         assert fast == play(planted, scenario, fast=False)
+
+
+def test_a_malformed_program_fails_identically():
+    """An instruction no interpreter can execute and a branch to the end
+    of the program or past it: both interpreters raise the same
+    ``EmulationError`` with the same counters, with and without WAR
+    checking and under a supply that fails inside the run."""
+    program = program_of("sha", "wario")
+    trace = reference_trace("sha", "wario")
+    first, last = next(span for span in runs_of(program, trace)
+                       if span[1] - span[0] >= 4)
+    pc = trace[first + 2][0]
+    end = len(program.instrs)
+    messages = {
+        "bogus": "cannot execute bogus",
+        "end": "cannot execute 'the end of the program'",
+        "past": f"no instruction at pc {end + 3}",
+    }
+    for what, message in messages.items():
+        planted = plant(program, pc, what)
+        for war in (False, True):
+            for periods in (None, [trace[first + 1][1] + 1, 5000]):
+                scenario = {"war": war, "interval": None, "jit": None,
+                            "periods": periods, "limit": 1_000_000,
+                            "calls": ["fail1"] if periods else []}
+                fast = play(planted, scenario, fast=True)
+                assert fast[1][0] is EmulationError, (what, fast[1])
+                assert fast[1][1].startswith(message), (what, fast[1])
+                assert fast == play(planted, scenario, fast=False), what
 
 
 def test_a_run_program_pickles_without_emulator_caches():

@@ -347,47 +347,100 @@ def test_fast_forward_equals_the_full_replay(bench, env, monkeypatch,
     assert rejoined == [True] * len(plan)
 
 
-def test_pair_executor_equals_the_full_replays(monkeypatch, full_replays):
-    """Over each whole plan, the pair executor's outcomes equal the
-    replays to halt, in plan order, and every cell rejoins.  Across the
-    pairs, cells share a first failure (the pause point is reused), and
-    the rejoin copy is reused, advanced, and forked again from the pause
-    point both when it lies behind the pause and when it is past a
-    replay's commit count."""
-    rejoined = []
+@pytest.fixture
+def rejoins(monkeypatch):
+    """Watches the fast-forwarded cells.  ``cells`` maps each schedule to
+    ``(point, cause, rejoin cursor ran)``: the point is ``"failure"``
+    when the replay rejoined the pause cursor at its failure point,
+    ``"commit"`` when it rejoined the rejoin cursor at a commit, and
+    ``None`` when it rejoined nowhere (replayed to halt, or halted on
+    its own); the cause of a commit rejoin is ``"differs"`` when the
+    replay was compared at its failure point and differed there, and
+    ``"committed"`` when it committed after the fork before it could be
+    compared.  ``branches`` collects the rejoin cursor's branches."""
+    log = {"cells": {}, "branches": set()}
     fast_forward = campaign._fast_forward
+    same = campaign._rejoins
+    after_commit = campaign._ContinuousRun.after_commit
+    cell = {}
 
-    def counting(*args):
-        outcome = fast_forward(*args)
-        rejoined.append(outcome is not None)
+    def watching(bench, schedule, oracle, run):
+        cell.update(run=run, point=None, compared=False, ran=False)
+        outcome = fast_forward(bench, schedule, oracle, run)
+        point = cell["point"] if outcome is not None else None
+        cause = None
+        if point == "commit":
+            cause = "differs" if cell["compared"] else "committed"
+        log["cells"][tuple(schedule)] = (point, cause, cell["ran"])
         return outcome
 
-    branches = set()
-    after_commit = campaign._ContinuousRun.after_commit
+    def comparing(replay, cursor):
+        at_failure = cursor is cell["run"].pause
+        cell["compared"] |= at_failure
+        result = same(replay, cursor)
+        if result:
+            cell["point"] = "failure" if at_failure else "commit"
+        return result
 
     def observing(run, commits):
+        cell["ran"] = True
         rejoin = run.rejoin
         if rejoin is None:
-            branches.add("first")
+            log["branches"].add("first")
         elif rejoin.stats.checkpoints > commits:
-            branches.add("past")
+            log["branches"].add("past")
         elif rejoin.stats.instructions < run.pause.stats.instructions:
-            branches.add("behind")
+            log["branches"].add("behind")
         elif rejoin.stats.checkpoints == commits:
-            branches.add("reuse")
+            log["branches"].add("reuse")
         else:
-            branches.add("advance")
+            log["branches"].add("advance")
         return after_commit(run, commits)
 
-    monkeypatch.setattr(campaign, "_fast_forward", counting)
+    monkeypatch.setattr(campaign, "_fast_forward", watching)
+    monkeypatch.setattr(campaign, "_rejoins", comparing)
     monkeypatch.setattr(campaign._ContinuousRun, "after_commit", observing)
+    return log
+
+
+def _masked_windows(oracle):
+    """``(mask, unmask, commits inside)`` cycle windows of the oracle's
+    interrupt-masked epilogues."""
+    windows, start, commits = [], None, 0
+    for kind, cycle, _pc, _detail in oracle.events:
+        if kind == "mask":
+            start, commits = cycle, 0
+        elif kind == "checkpoint" and start is not None:
+            commits += 1
+        elif kind == "unmask" and start is not None:
+            windows.append((start, cycle, commits))
+            start = None
+    return windows
+
+
+def test_pair_executor_equals_the_full_replays(rejoins, full_replays):
+    """Over each whole plan, the pair executor's outcomes equal the
+    replays to halt, in plan order, and every cell rejoins, at its
+    failure point or at a commit.  Both causes of a commit rejoin
+    occur: a replay that differs from the pause cursor at its failure
+    point and one that committed after the fork.  Across the pairs,
+    cells share a first failure (the pause point is reused), and the
+    rejoin copy is reused, advanced, and forked again from the pause
+    point both when it lies behind the pause and when it is past a
+    replay's commit count."""
     plans = [(bench, env, oracle, plan, full)
              for (bench, env), (oracle, plan, full) in full_replays.items()]
     # planned commit counts never fall in order of first failure; here
-    # the second failure puts the double's commit far past the single's
+    # the second failure puts the double's commit far past the commit
+    # after the epilogue the two singles fail in.  Interrupts are masked
+    # there, after a commit that a restore re-enables them at, so both
+    # replays differ from the pause cursor at their failure points and
+    # rejoin at the same next commit.
     oracle = _execute_oracle("crc", "wario", cache=False)
     first = oracle.cycles // 3
-    plan = [(first, 12_000), (first + 1,)]
+    unmask = next(end for start, end, commits in _masked_windows(oracle)
+                  if start > first and commits)
+    plan = [(first, 20_000), (first + 1,), (unmask - 1,), (unmask,)]
     program = compile_benchmark(BENCHMARKS["crc"], "wario", None, cache=False)
     plans.append(("crc", "wario", oracle, plan, [
         campaign._replay(BENCHMARKS["crc"], program, schedule, None)
@@ -395,14 +448,46 @@ def test_pair_executor_equals_the_full_replays(monkeypatch, full_replays):
     ]))
     shared_first = 0
     for bench, env, oracle, plan, full in plans:
-        rejoined.clear()
+        rejoins["cells"].clear()
         outcomes = campaign._execute_pair(bench, env, plan, cache=False,
                                           oracle=oracle.totals)
-        assert rejoined == [True] * len(plan), (bench, env)
         assert outcomes == full, (bench, env)
+        points = rejoins["cells"]
+        assert all(points[tuple(s)][0] in ("failure", "commit")
+                   for s in plan), (bench, env, points)
         shared_first += len(plan) - len({schedule[0] for schedule in plan})
     assert shared_first
-    assert branches == {"first", "past", "behind", "reuse", "advance"}
+    assert [points[s][:2] for s in plan] == [
+        ("commit", "committed"), ("failure", None),
+        ("commit", "differs"), ("commit", "differs")]
+    assert rejoins["branches"] == {"first", "past", "behind", "reuse",
+                                   "advance"}
+
+
+def test_single_failures_rejoin_at_the_failure_point(rejoins):
+    """In a single-failure plan of crc under ``wario``, every cell whose
+    failure lies outside the oracle's interrupt-masked epilogues rejoins
+    the pause cursor at its failure point, without the rejoin cursor
+    running; the epilogues' cells also match the replays to halt."""
+    bench = BENCHMARKS["crc"]
+    oracle = _execute_oracle("crc", "wario", cache=False)
+    windows = _masked_windows(oracle)
+    plan = [(t,) for t in range(13, oracle.cycles, 41)]
+    plan += [(t,) for start, end, _ in windows[:2]
+             for t in range(start - 2, end + 3)]
+    outcomes = campaign._execute_pair("crc", "wario", plan, cache=False,
+                                      oracle=oracle.totals)
+    outside = [s for s in plan
+               if not any(start <= s[0] <= end for start, end, _ in windows)]
+    assert len(outside) > 700
+    for schedule in outside:
+        assert rejoins["cells"][schedule] == ("failure", None, False), schedule
+    inside = [s for s in plan if s not in outside]
+    assert any(rejoins["cells"][s][0] == "commit" for s in inside)
+    program = compile_benchmark(bench, "wario", None, cache=False)
+    for schedule, outcome in zip(plan, outcomes):
+        if schedule in inside:
+            assert outcome == campaign._replay(bench, program, schedule, None)
 
 
 def test_interrupt_load_replays_every_cell_to_halt(full_replays_only):
