@@ -8,7 +8,8 @@ diff:
   every cache layer disabled (the honest front-to-back pipeline cost);
 * **emulation** — emulated instructions per second of the predecoded
   interpreter on each benchmark (continuous power, WAR checking off),
-  warm and on a program's first run, decoding included;
+  and on crc with WAR checking on, warm and on a program's first run,
+  decoding included;
 * **elision** — executed-checkpoint and total-cycle deltas of the
   certificate-guided elision environments (``wario-opt``,
   ``ratchet-opt``) against their baselines, with the statically elided
@@ -89,24 +90,26 @@ def bench_compile(quick: bool = False) -> Dict[str, Dict[str, float]]:
 def bench_emulation(quick: bool = False) -> Dict[str, Dict[str, float]]:
     """Emulated instructions per second per benchmark (wario build): on
     a program's first run, decoding and run-table construction included,
-    and warm."""
-    benches = ["crc"] if quick else list(BENCHMARKS)
+    and warm; plus crc with the dynamic WAR checker on
+    (``crc+war_check``)."""
+    runs = [(name, False) for name in (["crc"] if quick else BENCHMARKS)]
+    runs.append(("crc", True))
     out: Dict[str, Dict[str, float]] = {}
-    for name in benches:
+    for name, war_check in runs:
         bench = BENCHMARKS[name]
         # a copy no machine has run: unpickling drops the emulator caches
         program = pickle.loads(pickle.dumps(
             compile_benchmark(bench, "wario")))
         start = time.perf_counter()
-        Machine(program, war_check=False).run(
+        Machine(program, war_check=war_check).run(
             max_instructions=bench.max_instructions
         )
         first = time.perf_counter() - start
-        machine = Machine(program, war_check=False)
+        machine = Machine(program, war_check=war_check)
         start = time.perf_counter()
         stats = machine.run(max_instructions=bench.max_instructions)
         elapsed = time.perf_counter() - start
-        out[name] = {
+        out[f"{name}+war_check" if war_check else name] = {
             "instructions": stats.instructions,
             "seconds": round(elapsed, 4),
             "instrs_per_sec": round(stats.instructions / elapsed),

@@ -307,7 +307,7 @@ def run_middle_end(
         if config.max_region_cycles is not None:
             from .region_bound import bound_region_sizes
 
-            bound_region_sizes(module, config.max_region_cycles)
+            bound_region_sizes(module, config.max_region_cycles, summaries)
         if config.force_unsafe_elision is not None and not config.checkpoint_elim:
             raise ValueError(
                 "force_unsafe_elision requires checkpoint_elim (the knob "

@@ -126,6 +126,8 @@ class IRGenerator:
                 init = [eval_const_expr(e) & 0xFFFFFFFF for e in _flatten(gv.init)]
             else:
                 init = eval_const_expr(gv.init) & 0xFFFFFFFF
+        if init == 0 and is_pointer(ir_type):
+            init = None  # a null pointer is the zero-filled default
         try:
             value = self.module.add_global(gv.name, ir_type, init,
                                            gv.is_const)

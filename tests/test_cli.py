@@ -112,7 +112,7 @@ class TestCLI:
     @pytest.mark.parametrize("source, message", [
         ("int main(void) { return x; }", "unknown identifier 'x'"),
         ("int main(void) { return 1 +; }", "unexpected token ';'"),
-        ("int *p = 0;\nint main(void) { return 0; }",
+        ("int *p = 4;\nint main(void) { return 0; }",
          "unsupported global type i32*"),
         ("int f(int x);\nint main(void) { return f(1); }",
          "line 2: call to undefined function 'f'"),

@@ -13,6 +13,8 @@ from repro.frontend import compile_source
 from repro.ir import verify_module
 from repro.ir.instructions import CKPT_REGION_BOUND
 
+from .test_region_bound import LOOP_THEN_COPIES
+
 LONG_LOOP = """
 unsigned int a[400]; unsigned int out;
 int main(void) {
@@ -27,9 +29,9 @@ LONG_EXPECTED = sum(i * 7 for i in range(400)) & 0xFFFFFFFF
 
 
 class TestRegionBounding:
-    def _bounded_config(self, budget):
+    def _bounded_config(self, budget, env="wario"):
         return replace(
-            environment("wario"), name=f"wario-rb{budget}", max_region_cycles=budget
+            environment(env), name=f"{env}-rb{budget}", max_region_cycles=budget
         )
 
     def test_pass_inserts_region_bound_checkpoints(self):
@@ -68,10 +70,18 @@ class TestRegionBounding:
         assert machine.war.clean
 
     def test_tighter_budget_more_checkpoints(self):
+        """Both 400-trip loops of ``LONG_LOOP`` outgrow either budget, so
+        both budgets put a checkpoint on every iteration; an input the
+        budgets separate shows the tighter one paying more."""
         loose = Machine(iclang(LONG_LOOP, self._bounded_config(2000))).run()
         tight = Machine(iclang(LONG_LOOP, self._bounded_config(150))).run()
-        assert tight.checkpoints > loose.checkpoints
+        assert tight.checkpoints >= loose.checkpoints
         assert tight.region_max <= loose.region_max
+        loose = Machine(iclang(LOOP_THEN_COPIES,
+                               self._bounded_config(400, "ratchet"))).run()
+        tight = Machine(iclang(LOOP_THEN_COPIES,
+                               self._bounded_config(100, "ratchet"))).run()
+        assert (tight.checkpoints, loose.checkpoints) == (10, 2)
 
     def test_invalid_budget_rejected(self):
         module = compile_source(LONG_LOOP)
