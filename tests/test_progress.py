@@ -24,6 +24,8 @@ from repro.emulator.power import FixedPeriodPower
 from repro.emulator.stats import ExecutionStats
 from repro.frontend import compile_sources
 
+from .test_region_bound import ENDLESS
+
 
 def _front(source, name="prog"):
     module = compile_sources([source], name)
@@ -334,6 +336,20 @@ def test_recursion_is_unbounded():
     codes = {d.code for d in result.engine.diagnostics}
     assert "progress-unbounded" in codes
     assert result.progress_bound is None
+
+
+def test_endless_loops_are_measured():
+    """A loop that never exits bounds its regions like any other: one
+    that checkpoints every iteration is bounded, and a checkpoint-free
+    one on a branch that never returns leaves the program unbounded."""
+    counter = _lint("unsigned int counter;\n"
+                    "int main(void) { for (;;) { counter = counter + 1; } }",
+                    "wario")
+    assert module_progress_verdict(counter.progress) == "bounded"
+    assert counter.progress_bound is not None
+    branch = _lint(ENDLESS["branch"], "wario")
+    assert module_progress_verdict(branch.progress) == "unbounded"
+    assert branch.progress_bound is None
 
 
 # ---------------------------------------------------------------------------
