@@ -1,8 +1,10 @@
 """repro.emulator — the custom processor emulator (paper §5.1.1): NVM
 memory model, cycle accounting with pipeline refills, double-buffered
-register checkpoints, power-failure injection, interrupt stacking, and
-WAR-violation absence verification."""
+register checkpoints, power-failure injection, interrupt stacking,
+WAR-violation absence verification, and the commit log of a traced
+run."""
 
+from .commitlog import CommitLog
 from .costs import DEFAULT_COSTS, CostModel
 from .events import EVENT_KINDS, Event, EventTrace
 from .machine import (
@@ -31,6 +33,6 @@ __all__ = [
     "SchedulePower", "SuddenDropPower",
     "trace_a", "trace_b",
     "ExecutionStats",
-    "EVENT_KINDS", "Event", "EventTrace",
+    "EVENT_KINDS", "Event", "EventTrace", "CommitLog",
     "WARChecker", "Violation",
 ]

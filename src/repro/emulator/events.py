@@ -17,17 +17,21 @@ the paper argue a power failure is dangerous:
   interrupt-masked epilogue window of the WARio frame-release protocol).
 
 The trace is the input of :mod:`repro.faultinject.plan`, which aims
-deterministic failure schedules at each recorded instant.
+deterministic failure schedules at each recorded instant.  It also
+carries the run's :class:`~repro.emulator.commitlog.CommitLog`, every
+store and commit, from which the campaign materialises commit states.
 
-Tracing requires WAR checking (``war_check=True``): the fast
-interpreter's unchecked store paths bypass the :meth:`Machine.write_mem`
-hook, so an untraced-store trace would silently miss ``war-write``
-events.  :class:`~repro.emulator.machine.Machine` enforces this.
+Tracing requires WAR checking (``war_check=True``): the store hooks
+sit in the WAR-checked branch of :meth:`Machine.write_mem`, so a trace
+without the checker would silently miss ``war-write`` events and the
+log's stores.  :class:`~repro.emulator.machine.Machine` enforces this.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
+
+from .commitlog import CommitLog
 
 #: Event kinds, in the order the planner iterates them.
 EVENT_KINDS = (
@@ -62,12 +66,15 @@ class EventTrace:
         self.events: List[Event] = []
         #: armed until the first store of the current idempotent region
         self._war_armed = True
+        #: every store and commit of the run
+        self.log = CommitLog()
 
     def copy(self) -> "EventTrace":
-        """An independent copy of the events recorded so far."""
+        """An independent copy of the events and log recorded so far."""
         twin = EventTrace()
         twin.events = list(self.events)
         twin._war_armed = self._war_armed
+        twin.log = self.log.copy()
         return twin
 
     # -- hooks (called by Machine) ---------------------------------------

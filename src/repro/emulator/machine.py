@@ -136,7 +136,7 @@ _NEVER = 1 << 64
 #: what both interpreters say they cannot execute at the pc just past
 #: the last instruction
 _END_OF_PROGRAM = "the end of the program"
-_READ = WARChecker.READ
+_READ, _WRITE = WARChecker.READ, WARChecker.WRITE
 _LOADING_KINDS = (K_LDR4, K_LDR1, K_LDR2, K_POP)
 
 
@@ -336,10 +336,11 @@ class Machine:
         self.costs = cost_model or DEFAULT_COSTS
         #: optional :class:`EventTrace` recording consistency-critical
         #: instants (checkpoint commits, restores, first region stores,
-        #: epilogue mask/unmask) for the fault-injection planner.  The
-        #: ``war-write`` hook lives in :meth:`write_mem`, which the fast
-        #: interpreter only routes stores through when WAR checking is
-        #: on — so tracing requires ``war_check=True``.
+        #: epilogue mask/unmask) for the fault-injection planner, and the
+        #: run's commit log.  The store hooks live in the WAR-checked
+        #: branch of :meth:`write_mem`, which the fast interpreter routes
+        #: stores through only when tracing — so tracing requires
+        #: ``war_check=True``.
         if trace is not None and not war_check:
             raise ValueError("event tracing requires war_check=True")
         self._trace = trace
@@ -431,6 +432,7 @@ class Machine:
     def write_mem(self, addr: int, size: int, value: int) -> None:
         if addr + size > len(self.memory):
             raise EmulationError(f"store out of bounds: 0x{addr:x}")
+        value &= (1 << (8 * size)) - 1
         war = self.war
         if war is not None:
             trace = self._trace
@@ -445,9 +447,11 @@ class Machine:
                 trace.on_store(self.stats.cycles, self.pc, addr)
                 if len(war.violations) != before:
                     trace.on_war_violation(self.stats.cycles, self.pc, addr)
-        self.memory[addr : addr + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"
-        )
+                log = trace.log
+                log.store_addrs.append(addr)
+                log.store_sizes.append(size)
+                log.store_values.append(value)
+        self.memory[addr : addr + size] = value.to_bytes(size, "little")
 
     def _val(self, op) -> int:
         return op & M32 if isinstance(op, int) else self.regs[op.phys]
@@ -470,6 +474,7 @@ class Machine:
             self.war.on_checkpoint()
         if self._trace is not None:
             self._trace.on_checkpoint(self.stats.cycles, self.pc, cause)
+            self._trace.log.on_commit(self, next_pc, cause)
 
     def _restore_checkpoint(self) -> None:
         regs, pc, cmp_state = self._ckpt_active
@@ -618,6 +623,7 @@ class Machine:
         war = self.war
         mark = war.first.setdefault if war is not None else None
         trace = self._trace
+        program = self.program
         cc = stats.call_counts
 
         pc = self.pc
@@ -773,12 +779,19 @@ class Machine:
                                 cmp_b = d[3]
                             elif k == K_STR4_R:
                                 addr = (regs[d[3]] + d[4]) & M32
-                                if war is None:
+                                if trace is None:
+                                    # mark each byte's first access as a write; only
+                                    # a byte first loaded makes the checker record a
+                                    # violation (a traced store keeps ``write_mem``)
                                     _P32(memory, addr, regs[d[2]])
+                                    if mark is not None and (
+                                            mark(addr, _WRITE) | mark(addr + 1, _WRITE)
+                                            | mark(addr + 2, _WRITE)
+                                            | mark(addr + 3, _WRITE)) & _READ:
+                                        war.on_write(addr, 4, d[-2], program)
                                 else:
                                     self.pc = d[-2]
-                                    if trace is not None:
-                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    stats.cycles = cycles + d[-1] - body[0][-1]
                                     self.write_mem(addr, 4, regs[d[2]])
                             elif k == K_LDR1:
                                 addr = (regs[d[3]] + d[4]) & M32
@@ -789,12 +802,13 @@ class Machine:
                                 regs[d[2]] = (regs[d[3]] - d[4]) & M32
                             elif k == K_STR1_R:
                                 addr = (regs[d[3]] + d[4]) & M32
-                                if war is None:
+                                if trace is None:
                                     memory[addr] = regs[d[2]] & 0xFF
+                                    if mark is not None and mark(addr, _WRITE) & _READ:
+                                        war.on_write(addr, 1, d[-2], program)
                                 else:
                                     self.pc = d[-2]
-                                    if trace is not None:
-                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    stats.cycles = cycles + d[-1] - body[0][-1]
                                     self.write_mem(addr, 1, regs[d[2]])
                             elif k == K_CMP_RR:
                                 cmp_a = regs[d[2]]
@@ -811,12 +825,14 @@ class Machine:
                                     mark(addr + 1, _READ)
                             elif k == K_STR2_R:
                                 addr = (regs[d[3]] + d[4]) & M32
-                                if war is None:
+                                if trace is None:
                                     _P16(memory, addr, regs[d[2]] & 0xFFFF)
+                                    if mark is not None and (mark(addr, _WRITE)
+                                                             | mark(addr + 1, _WRITE)) & _READ:
+                                        war.on_write(addr, 2, d[-2], program)
                                 else:
                                     self.pc = d[-2]
-                                    if trace is not None:
-                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    stats.cycles = cycles + d[-1] - body[0][-1]
                                     self.write_mem(addr, 2, regs[d[2]])
                             elif k == K_PUSH:
                                 names = d[2]
@@ -872,30 +888,37 @@ class Machine:
                                 regs["sp"] = (regs["sp"] + d[2]) & M32
                             elif k == K_STR4_I:
                                 addr = (regs[d[3]] + d[4]) & M32
-                                if war is None:
+                                if trace is None:
                                     _P32(memory, addr, d[2])
+                                    if mark is not None and (
+                                            mark(addr, _WRITE) | mark(addr + 1, _WRITE)
+                                            | mark(addr + 2, _WRITE)
+                                            | mark(addr + 3, _WRITE)) & _READ:
+                                        war.on_write(addr, 4, d[-2], program)
                                 else:
                                     self.pc = d[-2]
-                                    if trace is not None:
-                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    stats.cycles = cycles + d[-1] - body[0][-1]
                                     self.write_mem(addr, 4, d[2])
                             elif k == K_STR1_I:
                                 addr = (regs[d[3]] + d[4]) & M32
-                                if war is None:
+                                if trace is None:
                                     memory[addr] = d[2] & 0xFF
+                                    if mark is not None and mark(addr, _WRITE) & _READ:
+                                        war.on_write(addr, 1, d[-2], program)
                                 else:
                                     self.pc = d[-2]
-                                    if trace is not None:
-                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    stats.cycles = cycles + d[-1] - body[0][-1]
                                     self.write_mem(addr, 1, d[2])
                             elif k == K_STR2_I:
                                 addr = (regs[d[3]] + d[4]) & M32
-                                if war is None:
+                                if trace is None:
                                     _P16(memory, addr, d[2] & 0xFFFF)
+                                    if mark is not None and (mark(addr, _WRITE)
+                                                             | mark(addr + 1, _WRITE)) & _READ:
+                                        war.on_write(addr, 2, d[-2], program)
                                 else:
                                     self.pc = d[-2]
-                                    if trace is not None:
-                                        stats.cycles = cycles + d[-1] - body[0][-1]
+                                    stats.cycles = cycles + d[-1] - body[0][-1]
                                     self.write_mem(addr, 2, d[2])
                             elif k == K_CMP_IR:
                                 cmp_a = d[2]

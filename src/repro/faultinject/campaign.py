@@ -28,6 +28,7 @@ depends on execution).
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -37,6 +38,7 @@ from ..cache import cached, inject_key, resolve_cache
 from ..core.pipeline import EnvironmentConfig, environment
 from ..emulator import (
     DEFAULT_COSTS,
+    CommitLog,
     EmulationError,
     EventTrace,
     Machine,
@@ -128,7 +130,7 @@ def _digest_memory(machine: Machine,
 
 class OracleTotals(NamedTuple):
     """What a replay needs of its oracle: the final state's digest and
-    verdicts, and the run's totals (not its event map)."""
+    verdicts, the run's totals and its commit log (not its event map)."""
 
     memory_digest: str
     outputs_ok: bool
@@ -136,6 +138,7 @@ class OracleTotals(NamedTuple):
     instructions: int
     cycles: int
     checkpoints: int
+    log: CommitLog
 
 
 @dataclass
@@ -150,12 +153,14 @@ class OracleRecord:
     checkpoints: int
     #: harvested event map, ``(kind, cycle, pc, detail)`` tuples
     events: List[Tuple[str, int, int, str]] = field(default_factory=list)
+    #: every store and commit of the run
+    log: CommitLog = field(default_factory=CommitLog)
 
     @property
     def totals(self) -> OracleTotals:
         return OracleTotals(self.memory_digest, self.outputs_ok,
                             self.war_clean, self.instructions, self.cycles,
-                            self.checkpoints)
+                            self.checkpoints, self.log)
 
 
 @dataclass
@@ -251,6 +256,7 @@ def _execute_oracle(
             cycles=stats.cycles,
             checkpoints=stats.checkpoints,
             events=trace.as_tuples(),
+            log=trace.log,
         )
 
     key = inject_key(program.cache_key, (), True, bench.max_instructions,
@@ -304,54 +310,59 @@ class _ContinuousRun:
     first failure.
 
     ``pause`` only moves forward: it pauses just before each cell's
-    first failure in turn, and the cell's replay forks it there.
-    ``rejoin`` is a second copy, brought to the commit count of each
-    replay that does not rejoin ``pause`` at its failure point.  Both
-    machines are created on first use, and a machine whose run raised
-    is dropped rather than resumed.
+    first failure in turn, and the cell's replay forks it there.  It
+    jumps along the oracle's commit ``log`` instead of emulating what
+    the oracle already ran.  The machine is created on first use, and
+    one whose run raised is dropped rather than resumed.  ``committed``
+    is the run materialised at the last commit a replay was compared
+    at.
     """
 
-    def __init__(self, program, limit: int):
+    def __init__(self, program, limit: int, log: CommitLog):
         self.program = program
         self.limit = limit
+        self.log = log
         self.pause: Optional[Machine] = None
-        self.rejoin: Optional[Machine] = None
+        self.committed: Optional[Machine] = None
 
     def paused_before(self, first: int) -> Machine:
         """The run paused just before a failure due after ``first``
         cycles of power-on time (or halted before it).  ``first`` must
         not fall below an earlier call's.
 
-        A supply's first period ends where ``period_used + cost``
-        exceeds it, and this machine has never failed, so
+        The run first jumps to the last commit that completes at or
+        before ``first``, if that commit lies ahead, and emulates only
+        the rest.  A supply's first period ends where ``period_used +
+        cost`` exceeds it, and this machine has never failed, so
         ``SchedulePower((first,))`` pauses it where a fresh machine
         under any schedule starting at ``first`` pauses."""
         machine, self.pause = self.pause, None
         if machine is None:
             machine = Machine(self.program, war_check=True)
+        # a commit logged at cycle c completes at c + checkpoint_cycles
+        commits = bisect_right(self.log.commit_cycles,
+                               first - machine.costs.checkpoint_cycles)
+        if machine.stats.checkpoints < commits:
+            self.log.materialize(machine, commits)
         machine.run(SchedulePower((first,)), self.limit,
                     pause_before_failure=True)
         self.pause = machine
         return machine
 
-    def after_commit(self, commits: int) -> Machine:
-        """The run stopped right after its ``commits``-th commit, or
-        halted; ``commits`` must be past the pause point.
+    def at_commit(self, commits: int) -> Machine:
+        """The run right after its ``commits``-th commit, which must lie
+        past the pause point and within the log.
 
-        ``rejoin`` is advanced when it lies between the pause point and
-        that commit.  Otherwise it is forked again from ``pause``: past
-        the commit it cannot go back, and behind the pause point it
-        would re-run what ``pause`` has already run."""
-        machine, self.rejoin = self.rejoin, None
-        if machine is not None and (
-                machine.stats.checkpoints > commits
-                or machine.stats.instructions < self.pause.stats.instructions):
+        ``committed`` is materialised further when it stands at or
+        behind that commit, and the pause cursor is forked again when it
+        is past it.  Keeping one copy saves a 1 MB memory image per
+        comparison, and the page faults of growing the heap for it."""
+        machine, self.committed = self.committed, None
+        if machine is None or machine.stats.checkpoints > commits:
             machine = None  # free its memory image before the fork below
-        if machine is None:
             machine = self.pause.fork()
-        if machine.stats.checkpoints < commits:
-            machine.run(None, self.limit, stop_after_commits=commits)
-        self.rejoin = machine
+        self.log.materialize(machine, commits)
+        self.committed = machine
         return machine
 
 
@@ -374,8 +385,8 @@ def _fast_forward(bench, schedule: Schedule, oracle: OracleTotals,
     commit, the fork re-executes the instructions the cursor executed
     after that commit and is compared with the cursor at its failure
     point.  Otherwise, or if they differ, the fork runs on to its next
-    commit and is compared with a continuous copy brought to the same
-    commit count.  If the two machines are in the same state, the rest
+    commit and is compared with the continuous run materialised at the
+    same commit count.  If the two machines are in the same state, the rest
     of the replay is the rest of the continuous run, so the final
     memory, outputs and the remaining instructions, cycles and commits
     are the oracle's.  The caller guarantees a WAR-clean oracle and no
@@ -406,8 +417,10 @@ def _fast_forward(bench, schedule: Schedule, oracle: OracleTotals,
                 replay.run(power, limit, stop_after_commits=restored + 1)
             if stats.halted:
                 return _outcome(bench, replay, schedule, "", None)
-            continuous = run.after_commit(stats.checkpoints)
-            if continuous.stats.halted or not _rejoins(replay, continuous):
+            if stats.checkpoints > run.log.commits:
+                return None  # past the oracle's last commit
+            continuous = run.at_commit(stats.checkpoints)
+            if not _rejoins(replay, continuous):
                 return None
     except EmulationError:
         return None
@@ -449,7 +462,7 @@ def _execute_pair(
     store = resolve_cache(cache)
     run = None
     if oracle is not None and oracle.war_clean and interrupt_interval is None:
-        run = _ContinuousRun(program, bench.max_instructions)
+        run = _ContinuousRun(program, bench.max_instructions, oracle.log)
 
     def replay(schedule: Schedule) -> CellOutcome:
         outcome = None

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from typing import Dict, Optional
 
 from repro import Machine, iclang
 from repro.emulator import PowerSupply
+
+
+def _load_golden_generator():
+    spec = importlib.util.spec_from_file_location(
+        "golden_generate",
+        os.path.join(os.path.dirname(__file__), "golden", "generate.py"),
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: ``tests/golden/generate.py``, the golden fixtures' generator, loaded
+#: once for every test module that recomputes a fixture
+GEN = _load_golden_generator()
 
 
 def compile_and_run(

@@ -4,28 +4,18 @@ loops, pinned in ``tests/golden/war_diagnostics.json`` (see
 ``tests/golden/generate.py`` for the seeded-bug matrix and the one
 legitimate way to regenerate the fixture)."""
 
-import importlib.util
 import json
 import os
 
 import pytest
+
+from helpers import GEN
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 with open(os.path.join(GOLDEN_DIR, "war_diagnostics.json")) as handle:
     GOLDEN = json.load(handle)
 
-
-def _generator():
-    spec = importlib.util.spec_from_file_location(
-        "golden_generate", os.path.join(GOLDEN_DIR, "generate.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-GEN = _generator()
 
 #: case name -> thunk producing that case's diagnostics afresh
 CASES = {

@@ -10,22 +10,18 @@ its weight, sub-proof texts and progress bounds (regenerate with
 fixture pins why the removed ones could go.
 """
 
-import importlib.util
 import json
 import os
 
 import pytest
+
+from helpers import GEN
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 with open(os.path.join(GOLDEN_DIR, "elisions.json")) as handle:
     GOLDEN = json.load(handle)
 
-_spec = importlib.util.spec_from_file_location(
-    "golden_generate", os.path.join(GOLDEN_DIR, "generate.py")
-)
-GEN = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(GEN)
 
 CELLS = {key: (program, config) for key, program, config in GEN.elision_cells()}
 

@@ -12,6 +12,7 @@ from repro.core.pipeline import ENVIRONMENTS
 from repro.emulator import (
     DEFAULT_COSTS,
     EVENT_KINDS,
+    CommitLog,
     EventTrace,
     Machine,
     SchedulePower,
@@ -219,10 +220,35 @@ def test_campaign_resumes_a_partly_cached_pair(tmp_path):
     assert warm.to_json() == cold.to_json()
 
 
+def test_a_cached_oracle_keeps_its_commit_log(tmp_path, monkeypatch):
+    """An oracle read back from the cache carries its commit log: a
+    campaign whose oracle entry is warm and whose cells are all missing
+    writes the same report, and its pause cursor still jumps."""
+    config = CampaignConfig(benches=("crc",), envs=("wario",), **_QUICK)
+    cold = run_campaign(config, cache=False)
+    harvested = _execute_oracle("crc", "wario", cache=CompileCache(str(tmp_path)))
+    assert harvested.log.commits == harvested.checkpoints
+    cached = _execute_oracle("crc", "wario", cache=CompileCache(str(tmp_path)))
+    assert cached.log == harvested.log and cached.log is not harvested.log
+    jumps = []
+    materialize = CommitLog.materialize
+
+    def counting(log, machine, k):
+        jumps.append(k)
+        return materialize(log, machine, k)
+
+    monkeypatch.setattr(CommitLog, "materialize", counting)
+    resumed = CompileCache(str(tmp_path))
+    warm = run_campaign(config, cache=resumed)
+    assert resumed.stores == cold.cells       # the cells, not the oracle
+    assert warm.to_json() == cold.to_json()
+    assert jumps
+
+
 @pytest.mark.parametrize("bench,env", [("crc", "wario"), ("sha", "wario-opt")])
 def test_a_campaign_builds_two_machines_per_pair(bench, env, monkeypatch):
     """The oracle and the shared continuous run are a pair's only
-    machines: every replay and every rejoin copy is a fork."""
+    machines: every replay and every commit copy is a fork."""
     built = 0
     init = Machine.__init__
 
@@ -350,28 +376,35 @@ def test_fast_forward_equals_the_full_replay(bench, env, monkeypatch,
 @pytest.fixture
 def rejoins(monkeypatch):
     """Watches the fast-forwarded cells.  ``cells`` maps each schedule to
-    ``(point, cause, rejoin cursor ran)``: the point is ``"failure"``
-    when the replay rejoined the pause cursor at its failure point,
-    ``"commit"`` when it rejoined the rejoin cursor at a commit, and
+    ``(point, cause, materialised)``: the point is ``"failure"`` when
+    the replay rejoined the pause cursor at its failure point,
+    ``"commit"`` when it rejoined the run materialised at a commit, and
     ``None`` when it rejoined nowhere (replayed to halt, or halted on
     its own); the cause of a commit rejoin is ``"differs"`` when the
     replay was compared at its failure point and differed there, and
     ``"committed"`` when it committed after the fork before it could be
-    compared.  ``branches`` collects the rejoin cursor's branches."""
-    log = {"cells": {}, "branches": set()}
+    compared; ``materialised`` says whether a commit state was
+    materialised for the cell.  ``jumps`` counts the pause cursor's
+    jumps along the oracle's log, and ``copies`` collects what
+    ``at_commit`` found: no copy yet (``"first"``), one at or behind
+    the commit (``"kept"``) or one past it (``"past"``)."""
+    log = {"cells": {}, "jumps": 0, "copies": set()}
     fast_forward = campaign._fast_forward
     same = campaign._rejoins
-    after_commit = campaign._ContinuousRun.after_commit
+    at_commit = campaign._ContinuousRun.at_commit
+    paused_before = campaign._ContinuousRun.paused_before
+    materialize = CommitLog.materialize
     cell = {}
 
     def watching(bench, schedule, oracle, run):
-        cell.update(run=run, point=None, compared=False, ran=False)
+        cell.update(run=run, point=None, compared=False,
+                    materialised=False, pausing=False)
         outcome = fast_forward(bench, schedule, oracle, run)
         point = cell["point"] if outcome is not None else None
         cause = None
         if point == "commit":
             cause = "differs" if cell["compared"] else "committed"
-        log["cells"][tuple(schedule)] = (point, cause, cell["ran"])
+        log["cells"][tuple(schedule)] = (point, cause, cell["materialised"])
         return outcome
 
     def comparing(replay, cursor):
@@ -382,24 +415,32 @@ def rejoins(monkeypatch):
             cell["point"] = "failure" if at_failure else "commit"
         return result
 
-    def observing(run, commits):
-        cell["ran"] = True
-        rejoin = run.rejoin
-        if rejoin is None:
-            log["branches"].add("first")
-        elif rejoin.stats.checkpoints > commits:
-            log["branches"].add("past")
-        elif rejoin.stats.instructions < run.pause.stats.instructions:
-            log["branches"].add("behind")
-        elif rejoin.stats.checkpoints == commits:
-            log["branches"].add("reuse")
+    def pausing(run, first):
+        cell["pausing"] = True
+        try:
+            return paused_before(run, first)
+        finally:
+            cell["pausing"] = False
+
+    def committing(run, commits):
+        copy = run.committed
+        log["copies"].add("first" if copy is None else
+                          "past" if copy.stats.checkpoints > commits else
+                          "kept")
+        return at_commit(run, commits)
+
+    def materializing(self, machine, k):
+        if cell["pausing"]:
+            log["jumps"] += 1
         else:
-            log["branches"].add("advance")
-        return after_commit(run, commits)
+            cell["materialised"] = True
+        return materialize(self, machine, k)
 
     monkeypatch.setattr(campaign, "_fast_forward", watching)
     monkeypatch.setattr(campaign, "_rejoins", comparing)
-    monkeypatch.setattr(campaign._ContinuousRun, "after_commit", observing)
+    monkeypatch.setattr(campaign._ContinuousRun, "paused_before", pausing)
+    monkeypatch.setattr(campaign._ContinuousRun, "at_commit", committing)
+    monkeypatch.setattr(CommitLog, "materialize", materializing)
     return log
 
 
@@ -421,13 +462,14 @@ def _masked_windows(oracle):
 def test_pair_executor_equals_the_full_replays(rejoins, full_replays):
     """Over each whole plan, the pair executor's outcomes equal the
     replays to halt, in plan order, and every cell rejoins, at its
-    failure point or at a commit.  Both causes of a commit rejoin
-    occur: a replay that differs from the pause cursor at its failure
-    point and one that committed after the fork.  Across the pairs,
-    cells share a first failure (the pause point is reused), and the
-    rejoin copy is reused, advanced, and forked again from the pause
-    point both when it lies behind the pause and when it is past a
-    replay's commit count."""
+    failure point or at a commit.  The pause cursor jumps along the
+    oracle's log; cells share a first failure (the pause point is
+    reused).  Both causes of a commit rejoin occur: a replay that
+    differs from the pause cursor at its failure point and one that
+    committed after the fork.  The commit copy is made, kept and
+    materialised further, and forked again when a replay's commit
+    count falls below it.  A replay that commits past the log's last
+    commit is replayed to halt."""
     plans = [(bench, env, oracle, plan, full)
              for (bench, env), (oracle, plan, full) in full_replays.items()]
     # planned commit counts never fall in order of first failure; here
@@ -442,10 +484,9 @@ def test_pair_executor_equals_the_full_replays(rejoins, full_replays):
                   if start > first and commits)
     plan = [(first, 20_000), (first + 1,), (unmask - 1,), (unmask,)]
     program = compile_benchmark(BENCHMARKS["crc"], "wario", None, cache=False)
-    plans.append(("crc", "wario", oracle, plan, [
-        campaign._replay(BENCHMARKS["crc"], program, schedule, None)
-        for schedule in plan
-    ]))
+    full = [campaign._replay(BENCHMARKS["crc"], program, schedule, None)
+            for schedule in plan]
+    plans.append(("crc", "wario", oracle, plan, full))
     shared_first = 0
     for bench, env, oracle, plan, full in plans:
         rejoins["cells"].clear()
@@ -457,18 +498,37 @@ def test_pair_executor_equals_the_full_replays(rejoins, full_replays):
                    for s in plan), (bench, env, points)
         shared_first += len(plan) - len({schedule[0] for schedule in plan})
     assert shared_first
-    assert [points[s][:2] for s in plan] == [
-        ("commit", "committed"), ("failure", None),
-        ("commit", "differs"), ("commit", "differs")]
-    assert rejoins["branches"] == {"first", "past", "behind", "reuse",
-                                   "advance"}
+    assert rejoins["jumps"]
+    assert [points[s] for s in plan] == [
+        ("commit", "committed", True), ("failure", None, False),
+        ("commit", "differs", True), ("commit", "differs", True)]
+    assert rejoins["copies"] == {"first", "kept", "past"}
+
+    # a log that ends at the epilogue's commit: the pause cursor still
+    # jumps there, and every commit rejoin lies past it
+    commits = sum(1 for kind, cycle, _pc, _detail in oracle.events
+                  if kind == "checkpoint" and cycle < unmask)
+    trace = EventTrace()
+    Machine(program, trace=trace).run(
+        max_instructions=BENCHMARKS["crc"].max_instructions,
+        stop_after_commits=commits)
+    rejoins["cells"].clear()
+    rejoins["jumps"] = 0
+    outcomes = campaign._execute_pair(
+        "crc", "wario", plan, cache=False,
+        oracle=oracle.totals._replace(log=trace.log))
+    assert outcomes == full
+    assert rejoins["jumps"]
+    assert [rejoins["cells"][s] for s in plan] == [
+        (None, None, False), ("failure", None, False),
+        (None, None, False), (None, None, False)]
 
 
 def test_single_failures_rejoin_at_the_failure_point(rejoins):
     """In a single-failure plan of crc under ``wario``, every cell whose
     failure lies outside the oracle's interrupt-masked epilogues rejoins
-    the pause cursor at its failure point, without the rejoin cursor
-    running; the epilogues' cells also match the replays to halt."""
+    the pause cursor at its failure point, without a commit state being
+    materialised; the epilogues' cells also match the replays to halt."""
     bench = BENCHMARKS["crc"]
     oracle = _execute_oracle("crc", "wario", cache=False)
     windows = _masked_windows(oracle)
@@ -507,7 +567,8 @@ def test_fast_forward_falls_back_unless_the_replay_provably_rejoins(
     full = _execute_schedule("crc", "wario", schedule, cache=False)
 
     def run():
-        return campaign._ContinuousRun(program, bench.max_instructions)
+        return campaign._ContinuousRun(program, bench.max_instructions,
+                                       oracle.log)
 
     assert campaign._fast_forward(bench, schedule, oracle.totals,
                                   run()) == full

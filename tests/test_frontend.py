@@ -15,7 +15,7 @@ from repro.frontend import (
 )
 from repro.frontend import c_ast as ast
 
-from .test_region_bound import GEN
+from helpers import GEN
 
 
 class TestLexer:

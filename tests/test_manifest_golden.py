@@ -10,22 +10,18 @@ certificate (see ``tests/golden/generate.py``).  This recomputes the
 that names the entries that moved and says why.
 """
 
-import importlib.util
 import json
 import os
 
 import pytest
+
+from helpers import GEN
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 with open(os.path.join(GOLDEN_DIR, "manifest.json")) as handle:
     GOLDEN = json.load(handle)
 
-_spec = importlib.util.spec_from_file_location(
-    "golden_generate", os.path.join(GOLDEN_DIR, "generate.py")
-)
-GEN = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(GEN)
 
 GRID = {key: (program, config) for key, program, config in GEN.grid_cells()}
 

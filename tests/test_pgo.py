@@ -1,9 +1,6 @@
 """Tests for the profile-guided Expander (§6 "Code Profiling",
 implemented)."""
 
-import importlib.util
-import os
-
 import pytest
 
 from repro import Machine, iclang
@@ -13,6 +10,8 @@ from repro.frontend import compile_source
 from repro.ir import verify_module
 from repro.ir.instructions import Call
 from repro.transforms import optimize_module
+
+from helpers import GEN
 
 HOT_HELPER = """
 unsigned int data[96]; unsigned int out;
@@ -88,13 +87,6 @@ def test_pgo_on_call_free_program_is_noop_safe():
     assert machine.read_global("out") == sum(range(50))
     assert machine.war.clean
 
-
-_spec = importlib.util.spec_from_file_location(
-    "golden_generate",
-    os.path.join(os.path.dirname(__file__), "golden", "generate.py"),
-)
-GEN = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(GEN)
 
 #: ``program_digest`` of each ``iclang_pgo`` program under the two
 #: environments that set none of the middle-end switches an earlier,

@@ -8,7 +8,6 @@ engine and range-compressed requirements (regenerate with
 A drift in any position fails here, not only as a change in code size.
 """
 
-import importlib.util
 import json
 import os
 
@@ -17,16 +16,12 @@ import pytest
 from repro.benchsuite import BENCHMARKS
 from repro.core import ENVIRONMENTS
 
+from helpers import GEN
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 with open(os.path.join(GOLDEN_DIR, "placements.json")) as handle:
     GOLDEN = json.load(handle)
-
-_spec = importlib.util.spec_from_file_location(
-    "golden_generate", os.path.join(GOLDEN_DIR, "generate.py")
-)
-GEN = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(GEN)
 
 
 def test_fixture_covers_every_cell():

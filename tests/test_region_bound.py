@@ -6,8 +6,6 @@ transparent ones join it), and the pass's contract: after it, every
 function's :class:`~repro.analysis.progress.IRProgress` worst gap fits
 the budget, with checkpoints placed by trip-bounded gaps."""
 
-import importlib.util
-import os
 from dataclasses import replace
 
 import pytest
@@ -22,12 +20,8 @@ from repro.ir import verify_module
 from repro.ir.instructions import CKPT_REGION_BOUND, Checkpoint
 from repro.ir.parser import parse_module
 
-_spec = importlib.util.spec_from_file_location(
-    "golden_generate",
-    os.path.join(os.path.dirname(__file__), "golden", "generate.py"),
-)
-GEN = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(GEN)
+from helpers import GEN
+
 
 #: The historical hand-written estimate table the derivation replaced.
 #: If the derivation drifts from these values, either the CostModel
